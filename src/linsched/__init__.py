@@ -22,6 +22,7 @@ from .model import (
     EuclideanMetric,
     FormatError,
     Instance,
+    InternalError,
     Link,
     MatrixMetric,
     Metric,
@@ -47,7 +48,6 @@ from .scheduler import (
     compute_c,
     compute_c0,
     greedy_schedule,
-    greedy_schedule_reference,
 )
 from .sinr import (
     FeasibilityReport,
@@ -67,6 +67,7 @@ __all__ = [
     "FormatError",
     "GenSpec",
     "Instance",
+    "InternalError",
     "Link",
     "MatrixMetric",
     "Metric",
@@ -87,7 +88,6 @@ __all__ = [
     "compute_c0",
     "distance",
     "greedy_schedule",
-    "greedy_schedule_reference",
     "interference_at",
     "interference_measure",
     "load_instance",

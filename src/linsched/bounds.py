@@ -12,9 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
+from . import kernel
 from .model import REL_TOL, Instance, Schedule, check_partition
 from .scheduler import SchedulerConfig
-from .sinr import _ratio_pow
+
+
+def _capped_sums(W: np.ndarray, X: np.ndarray, inst: Instance) -> np.ndarray:
+    """Interference of the senders of W at each node of X, terms capped at 1."""
+    t = kernel.terms(inst, W, X)
+    return kernel.ascending_sums(np.minimum(t, 1.0, out=t))
 
 
 def interference_at(p: int, members: Iterable[int], inst: Instance) -> float:
@@ -22,17 +30,8 @@ def interference_at(p: int, members: Iterable[int], inst: Instance) -> float:
 
     Every summand lies in [0, 1]; a sender located at p contributes exactly 1.
     """
-    metric = inst.metric
-    links = inst.links
-    terms = []
-    for w in members:
-        d = metric.distance(links[w].sender, p)
-        if d == 0.0:
-            terms.append(1.0)
-        else:
-            terms.append(min(1.0, _ratio_pow(inst.link_length(w), d, inst.params.alpha)))
-    terms.sort()
-    return sum(terms)
+    W = np.fromiter(members, dtype=np.intp)
+    return float(_capped_sums(W, np.array([p], dtype=np.intp), inst)[0])
 
 
 def interference_measure(members: Iterable[int], inst: Instance) -> tuple[float, int]:
@@ -40,19 +39,18 @@ def interference_measure(members: Iterable[int], inst: Instance) -> tuple[float,
 
     Returns (value, argmax node index); ties go to the smallest node index.
     The evaluation points are all nodes used by the instance, not just the
-    nodes of ``members``.
+    nodes of ``members``.  Computed a block of nodes at a time.
     """
     member_list = sorted(set(members))
     if not member_list:
         raise ValueError("interference_measure requires a nonempty link set")
-    best = -1.0
-    best_node = -1
-    for p in inst.used_nodes():
-        val = interference_at(p, member_list, inst)
-        if val > best:
-            best = val
-            best_node = p
-    return best, best_node
+    W = np.array(member_list, dtype=np.intp)
+    nodes = np.array(inst.used_nodes(), dtype=np.intp)
+    values = np.empty(len(nodes))
+    for cols in kernel.blocks(len(nodes), len(W)):
+        values[cols] = _capped_sums(W, nodes[cols], inst)
+    best = int(np.argmax(values))  # first maximum: the smallest node index
+    return float(values[best]), int(nodes[best])
 
 
 @dataclass(frozen=True)

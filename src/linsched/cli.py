@@ -1,8 +1,9 @@
 """Command-line frontend: file-in/file-out pipelines over the library.
 
 Exit codes: 0 success, 1 negative domain verdict (infeasible schedule,
-violated bound, two-slot answer "no"), 2 usage or input errors.  All output
-is deterministic given identical inputs.
+violated bound, two-slot answer "no"), 2 usage or input errors, 3 an
+internal error (a failed internal cross-check or any other unexpected
+exception).  All output is deterministic given identical inputs.
 """
 
 from __future__ import annotations
@@ -10,10 +11,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from . import bounds, gen, hardness, oracle, scheduler, sinr
-from .model import FormatError, Instance, load_instance, load_schedule, save_instance, save_schedule, validate_instance
+from .model import (
+    FormatError,
+    Instance,
+    PhysicalParams,
+    load_instance,
+    load_schedule,
+    save_instance,
+    save_schedule,
+    validate_instance,
+)
 
 
 def _emit(obj: dict) -> None:
@@ -182,11 +193,11 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    thr = 1.0 / args.beta - args.noise / args.cl
-    if thr <= 0:
-        raise FormatError("c_l must exceed beta*noise for any slot to be feasible")
-    c0 = scheduler.compute_c0(args.alpha, args.K, args.m)
-    c = scheduler.compute_c(args.alpha, 1.0 / thr, args.K, args.m)
+    params = PhysicalParams(
+        alpha=args.alpha, beta=args.beta, noise=args.noise, c_l=args.cl, K=args.K, m=args.m
+    )
+    c0 = scheduler.compute_c0(params.alpha, params.K, params.m)
+    c = scheduler.compute_c(params.alpha, params.effective_beta(), params.K, params.m)
     _emit({"c0": c0, "c": c})
     return 0
 
@@ -285,12 +296,17 @@ def run(argv: list[str]) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (FormatError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # InternalError, or a bug: never a domain answer
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            f"internal error at {Path(where.filename).name}:{where.lineno}: "
+            f"{type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+        return 3
 
 
 def main() -> None:

@@ -52,6 +52,8 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("n must be >= 0")
+        if not all(math.isfinite(x) for x in (self.box, self.lmin, self.lmax)):
+            raise ValueError("box, lmin and lmax must be finite")
         if not self.lmin > 0:
             raise ValueError("lmin must be > 0")
         if self.lmax < self.lmin:
@@ -113,8 +115,8 @@ def spread(k: int, separation: float, params: PhysicalParams) -> Instance:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not separation > 0:
-        raise ValueError("separation must be > 0")
+    if not 0 < separation < math.inf:
+        raise ValueError("separation must be > 0 and finite")
     points: list[tuple[float, ...]] = []
     links = []
     for i in range(k):

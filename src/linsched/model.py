@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 SCHEMA = "sinr-linsched/1"
 
 # Default relative tolerance for all threshold comparisons.
@@ -29,14 +31,14 @@ class FormatError(ValueError):
     """Raised for malformed or wrong-schema instance/schedule documents."""
 
 
-def rel_leq(x: float, y: float, rel: float = REL_TOL) -> bool:
-    """x <= y up to a relative tolerance scaled by the larger magnitude."""
-    if x <= y:
-        return True
-    diff = x - y
-    if math.isinf(diff):
-        return False
-    return diff <= rel * max(abs(x), abs(y))
+class InternalError(RuntimeError):
+    """Raised when two independent computations inside the package disagree."""
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
 
 def rel_close(x: float, y: float, rel: float = REL_TOL) -> bool:
@@ -65,6 +67,11 @@ class EuclideanMetric:
     def distance(self, p: int, q: int) -> float:
         return math.dist(self.points[p], self.points[q])
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The points as a read-only (nodes, dim) float array."""
+        return _read_only(self.points, np.float64).reshape(self.n_nodes, self.dim)
+
 
 @dataclass(frozen=True)
 class MatrixMetric:
@@ -78,6 +85,11 @@ class MatrixMetric:
 
     def distance(self, p: int, q: int) -> float:
         return self.d[p][q]
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The distances as a read-only (N, N) float array."""
+        return _read_only(self.d, np.float64).reshape(self.n_nodes, self.n_nodes)
 
 
 Metric = EuclideanMetric | MatrixMetric
@@ -124,6 +136,10 @@ class PhysicalParams:
     m: float = 2.0
 
     def __post_init__(self) -> None:
+        # Checked first: NaN compares false, so it would pass `noise < 0`, `K < 1`, `m < 1`.
+        for name in ("alpha", "beta", "noise", "c_l", "K", "m"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.alpha > 1:
             raise ValueError(f"alpha must be > 1, got {self.alpha}")
         if not self.beta > 0:
@@ -184,6 +200,21 @@ class Instance:
     def link_length(self, link_id: int) -> float:
         return self.lengths[link_id]
 
+    @cached_property
+    def length_array(self) -> np.ndarray:
+        """``lengths`` as a read-only float array indexed by link position."""
+        return _read_only(self.lengths, np.float64)
+
+    @cached_property
+    def senders(self) -> np.ndarray:
+        """Sender node of each link, as a read-only index array."""
+        return _read_only([ln.sender for ln in self.links], np.intp)
+
+    @cached_property
+    def receivers(self) -> np.ndarray:
+        """Receiver node of each link, as a read-only index array."""
+        return _read_only([ln.receiver for ln in self.links], np.intp)
+
     def asym_distance(self, w: int, v: int) -> float:
         """Distance from the sender of link w to the receiver of link v."""
         return self.metric.distance(self.links[w].sender, self.links[v].receiver)
@@ -224,6 +255,9 @@ def _check_matrix(metric: MatrixMetric, check_triangle: bool) -> list[Diagnostic
     n = len(d)
     if any(len(row) != n for row in d):
         out.append(Diagnostic("error", "matrix-shape", "distance matrix is not square"))
+        return out
+    if not np.isfinite(metric.array).all():
+        out.append(Diagnostic("error", "non-finite", "distance matrix has a NaN or infinite entry"))
         return out
     max_d = 0.0
     for p in range(n):
@@ -305,15 +339,25 @@ def validate_instance(inst: Instance, check_triangle: bool = True) -> list[Diagn
                             f"point {i} has {len(pt)} coordinates, expected {k}",
                         )
                     )
+            if not out:
+                finite = np.isfinite(metric.array).all(axis=1)
+                for i in np.flatnonzero(~finite).tolist():
+                    out.append(
+                        Diagnostic(
+                            "error", "non-finite", f"point {i} = {metric.points[i]!r} is not finite"
+                        )
+                    )
     else:
         out.extend(_check_matrix(metric, check_triangle))
 
     n_nodes = metric.n_nodes
+    # Schedules name links by id, while every algorithm indexes them by
+    # position, so the two must coincide.
     ids = [ln.id for ln in inst.links]
-    if sorted(ids) != list(range(len(ids))):
+    if ids != list(range(len(ids))):
         out.append(
             Diagnostic(
-                "error", "link-ids", "link ids must be unique and contiguous from 0"
+                "error", "link-ids", "link ids must equal their positions: links[i].id == i"
             )
         )
     index_ok = True
@@ -328,7 +372,10 @@ def validate_instance(inst: Instance, check_triangle: bool = True) -> list[Diagn
                 )
             )
             index_ok = False
-    if index_ok and not any(d.severity == "error" and d.code.startswith("matrix") for d in out):
+    metric_ok = not any(
+        d.severity == "error" and d.code.startswith(("matrix", "non-finite")) for d in out
+    )
+    if index_ok and metric_ok:
         for ln in inst.links:
             if metric.distance(ln.sender, ln.receiver) <= 0.0:
                 out.append(
@@ -408,7 +455,13 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"field '{where}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise FormatError(f"field '{where}' must be a finite number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise FormatError(f"field '{where}' must be a finite number, got {value!r}")
+    return number
 
 
 def _as_index(value, where: str) -> int:

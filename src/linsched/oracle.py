@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .model import REL_TOL, Instance, Schedule
 
 DEFAULT_CAP = 16
@@ -26,22 +27,9 @@ _HUGE = 1e300
 
 def _term_matrix(inst: Instance) -> np.ndarray:
     """T[w, v] = affectance term of link w on link v, diagonals 0."""
-    n = inst.n
-    alpha = inst.params.alpha
-    t = np.zeros((n, n))
-    for w in range(n):
-        lw = inst.link_length(w)
-        for v in range(n):
-            if v == w:
-                continue
-            den = inst.asym_distance(w, v)
-            if den == 0.0:
-                t[w, v] = _HUGE
-            else:
-                try:
-                    t[w, v] = (lw / den) ** alpha
-                except OverflowError:
-                    t[w, v] = _HUGE
+    t = kernel.terms(inst, np.arange(inst.n), inst.receivers)
+    t[np.isinf(t)] = _HUGE
+    np.fill_diagonal(t, 0.0)
     return t
 
 

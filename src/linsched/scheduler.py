@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import Instance, PhysicalParams, Schedule, rel_leq
-from .sinr import affectance
+import numpy as np
+
+from . import kernel
+from .model import Instance, PhysicalParams, Schedule
 
 
 def compute_c0(alpha: float, K: float, m: float) -> float:
@@ -30,7 +32,13 @@ def compute_c0(alpha: float, K: float, m: float) -> float:
             f"alpha condition violated: need alpha > m/(m+1-ceil(m)) = "
             f"{m / (m + 1.0 - ceil_m)!r}, got alpha = {alpha!r}"
         )
-    return 3.0**alpha * (2.0 * ceil_m * K * K) ** (alpha / m) * gap / (gap - m)
+    try:
+        c0 = 3.0**alpha * (2.0 * ceil_m * K * K) ** (alpha / m) * gap / (gap - m)
+    except OverflowError:
+        c0 = math.inf
+    if not math.isfinite(c0):
+        raise ValueError(f"c0 overflows a float for alpha = {alpha!r}, K = {K!r}, m = {m!r}")
+    return c0
 
 
 def compute_c(alpha: float, beta_eff: float, K: float, m: float) -> float:
@@ -81,94 +89,24 @@ def _processing_order(inst: Instance) -> list[int]:
 def greedy_schedule(inst: Instance, cfg: SchedulerConfig) -> Schedule:
     """First-fit greedy over length-sorted links.
 
-    Keeps per-slot member lists and evaluates each candidate's affectance
-    incrementally against slot members only (O(n^2) term evaluations
-    total).  The result is bit-identical to ``greedy_schedule_reference``.
-    """
-    alpha = inst.params.alpha
-    thr = cfg.admit_threshold(alpha)
-    lengths = inst.lengths
-    metric = inst.metric
-    links = inst.links
-    slots: list[list[int]] = []
-    for v in _processing_order(inst):
-        rv = links[v].receiver
-        placed = False
-        for slot in slots:
-            terms = []
-            for w in slot:
-                den = metric.distance(links[w].sender, rv)
-                if den == 0.0:
-                    terms.append(math.inf)
-                    continue
-                try:
-                    terms.append((lengths[w] / den) ** alpha)
-                except OverflowError:
-                    terms.append(math.inf)
-            terms.sort()
-            if rel_leq(sum(terms), thr):
-                slot.append(v)
-                placed = True
-                break
-        if not placed:
-            slots.append([v])
-    return Schedule(slots=tuple(frozenset(slot) for slot in slots))
-
-
-def greedy_schedule_reference(inst: Instance, cfg: SchedulerConfig) -> Schedule:
-    """Same algorithm, recomputing each probe from scratch via ``affectance``.
-
-    Slow naive twin kept as the correctness oracle for ``greedy_schedule``.
+    For each link, one kernel column gives the terms of every link placed
+    before it, and a bincount over their slots gives the load on it in every
+    slot at once.  Loads add up in placement order.
     """
     thr = cfg.admit_threshold(inst.params.alpha)
+    order = np.array(_processing_order(inst), dtype=np.intp)
+    slot_of = np.empty(inst.n, dtype=np.intp)  # slot of the link at each position
+    column = np.empty(inst.n)
     slots: list[list[int]] = []
-    for v in _processing_order(inst):
-        for slot in slots:
-            if rel_leq(affectance(v, slot, inst), thr):
-                slot.append(v)
-                break
-        else:
-            slots.append([v])
+    for i, v in enumerate(order.tolist()):
+        target = inst.receivers[v : v + 1]
+        for part in kernel.blocks(i, 1):
+            column[part] = kernel.terms(inst, order[part], target)[:, 0]
+        loads = np.bincount(slot_of[:i], weights=column[:i], minlength=len(slots))
+        fits = np.flatnonzero(kernel.rel_leq(loads, thr))
+        k = int(fits[0]) if len(fits) else len(slots)
+        if k == len(slots):
+            slots.append([])
+        slots[k].append(v)
+        slot_of[i] = k
     return Schedule(slots=tuple(frozenset(slot) for slot in slots))
-
-
-def admission_trace_ok(inst: Instance, cfg: SchedulerConfig, sched: Schedule) -> bool:
-    """Replay a greedy output: each member must have been admissible against
-    the slot members placed before it (earlier in the processing order)."""
-    thr = cfg.admit_threshold(inst.params.alpha)
-    order = {v: pos for pos, v in enumerate(_processing_order(inst))}
-    for slot in sched.slots:
-        members = sorted(slot, key=order.__getitem__)
-        for i, v in enumerate(members):
-            if not rel_leq(affectance(v, members[:i], inst), thr):
-                return False
-    return True
-
-
-def separation_violations(
-    inst: Instance, cfg: SchedulerConfig, sched: Schedule, rel: float = 1e-9
-) -> list[tuple[int, int, str]]:
-    """Spatial-separation check for co-scheduled pairs.
-
-    For every pair v, w sharing a slot, with d = max of the two lengths, the
-    greedy admission rule forces d(s_v, r_w) >= (c-2)d, d(s_w, r_v) >= (c-2)d
-    and d(s_v, s_w) >= (c-3)d.  Returns violating (v, w, which) triples.
-    """
-    c = cfg.c
-    out: list[tuple[int, int, str]] = []
-    metric = inst.metric
-    links = inst.links
-    for slot in sched.slots:
-        members = sorted(slot)
-        for i, v in enumerate(members):
-            for w in members[i + 1 :]:
-                d = max(inst.link_length(v), inst.link_length(w))
-                guard = 1.0 - rel
-                if inst.asym_distance(v, w) < (c - 2.0) * d * guard:
-                    out.append((v, w, "sender_v-receiver_w"))
-                if inst.asym_distance(w, v) < (c - 2.0) * d * guard:
-                    out.append((v, w, "sender_w-receiver_v"))
-                ss = metric.distance(links[v].sender, links[w].sender)
-                if ss < (c - 3.0) * d * guard:
-                    out.append((v, w, "sender_v-sender_w"))
-    return out

@@ -9,7 +9,7 @@ decoding condition for v inside slot S is equivalent to
 
 and this additive form is what the scheduler and oracle manipulate.  Every
 slot verdict is double-checked here against the raw power-ratio form of the
-SINR condition; the two must always agree.
+SINR condition; the two must always agree.  All terms come from ``kernel``.
 
 Terms where the cross distance is zero saturate to +inf, so any slot that
 collocates a sender with a foreign receiver is infeasible.
@@ -17,21 +17,13 @@ collocates a sender with a foreign receiver is infeasible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import Instance, Schedule, check_partition, rel_leq
+import numpy as np
 
-
-def _ratio_pow(num: float, den: float, alpha: float) -> float:
-    """(num/den)^alpha, saturating to +inf on zero denominator or overflow."""
-    if den == 0.0:
-        return math.inf
-    try:
-        return (num / den) ** alpha
-    except OverflowError:
-        return math.inf
+from . import kernel
+from .model import Instance, InternalError, Schedule, check_partition
 
 
 def affectance_term(w: int, v: int, inst: Instance) -> float:
@@ -42,7 +34,7 @@ def affectance_term(w: int, v: int, inst: Instance) -> float:
     """
     if w == v:
         raise ValueError("affectance term requires two distinct links")
-    return _ratio_pow(inst.link_length(w), inst.asym_distance(w, v), inst.params.alpha)
+    return float(kernel.terms(inst, np.array([w]), inst.receivers[[v]])[0, 0])
 
 
 def affectance(v: int, members: Iterable[int], inst: Instance) -> float:
@@ -52,9 +44,9 @@ def affectance(v: int, members: Iterable[int], inst: Instance) -> float:
     stabilize floating point; the result is additive over disjoint member
     sets and monotone under set inclusion.
     """
-    terms = [affectance_term(w, v, inst) for w in members if w != v]
-    terms.sort()
-    return sum(terms)
+    W = np.fromiter(members, dtype=np.intp)
+    W = W[W != v]
+    return float(kernel.ascending_sums(kernel.terms(inst, W, inst.receivers[[v]]))[0])
 
 
 @dataclass(frozen=True)
@@ -71,63 +63,52 @@ class FeasibilityResult:
     per_link_affectance: dict[int, float]
 
 
-def _raw_slot_feasible(members: list[int], inst: Instance) -> bool:
-    """SINR check in the raw power-ratio form with linear powers.
-
-    Computes received powers c_l*len^alpha/d^alpha directly and compares
-    signal against beta*(interference + noise) per link.  Kept independent
-    of the affectance path as an internal cross-check.
-    """
-    p = inst.params
-    ok = True
-    for v in members:
-        d_vv = inst.link_length(v)
-        signal = _ratio_pow(d_vv, d_vv, p.alpha) * p.c_l  # c_l up to rounding
-        received = []
-        for w in members:
-            if w == v:
-                continue
-            power_w = p.c_l * inst.link_length(w) ** p.alpha
-            den = inst.asym_distance(w, v) ** p.alpha
-            received.append(math.inf if den == 0.0 else power_w / den)
-        received.sort()
-        rhs = p.beta * (sum(received) + p.noise)
-        if not rel_leq(rhs, signal):
-            ok = False
-    return ok
-
-
 def slot_feasible(members: Iterable[int], inst: Instance) -> FeasibilityResult:
     """Decide whether all links in a slot can transmit concurrently.
 
     Feasible iff every member's affectance stays within the threshold
-    1/beta - noise/c_l (relative tolerance 1e-9).
+    1/beta - noise/c_l (relative tolerance 1e-9).  The verdict is checked
+    against the raw power-ratio form of the SINR condition, computed on its
+    own from the same distances; InternalError is raised if they disagree.
     """
     member_list = sorted(set(members))
     if not member_list:
         raise ValueError("slot_feasible requires a nonempty slot")
-    thr = inst.params.affectance_threshold()
-    per_link: dict[int, float] = {}
-    worst_link: int | None = None
-    worst_margin = math.inf
-    feasible = True
-    for v in member_list:
-        a = affectance(v, member_list, inst)
-        per_link[v] = a
-        margin = thr - a
-        if margin < worst_margin:
-            worst_margin = margin
-            worst_link = v
-        if not rel_leq(a, thr):
-            feasible = False
-    assert feasible == _raw_slot_feasible(member_list, inst), (
-        f"raw SINR and affectance-form verdicts diverged on slot {member_list}"
-    )
+    p = inst.params
+    M = np.array(member_list, dtype=np.intp)
+    lengths = inst.length_array[M][:, None]
+    with np.errstate(over="ignore"):
+        powers = p.c_l * np.float_power(lengths, p.alpha)  # sender powers, linear rule
+    aff = np.empty(len(M))
+    interference = np.empty(len(M))  # raw form: summed received power
+    for cols in kernel.blocks(len(M), len(M)):
+        d = kernel.dist(inst, inst.senders[M], inst.receivers[M[cols]])
+        own = M[:, None] == M[None, cols]
+        t = kernel.ratio_power(lengths, d, p.alpha)
+        t[own] = 0.0
+        aff[cols] = kernel.ascending_sums(t)
+        # Raw form: received power c_l*len_w^alpha / d^alpha of every other sender.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            den = np.float_power(d, p.alpha)
+            r = powers / den
+        r[den == 0.0] = np.inf
+        r[own] = 0.0
+        interference[cols] = kernel.ascending_sums(r)
+    thr = p.affectance_threshold()
+    feasible = bool(kernel.rel_leq(aff, thr).all())
+    # A link's own received power is c_l*len^alpha/len^alpha = c_l.
+    raw_feasible = bool(kernel.rel_leq(p.beta * (interference + p.noise), p.c_l).all())
+    if feasible != raw_feasible:
+        raise InternalError(
+            f"raw SINR and affectance-form verdicts diverged on slot {member_list}"
+        )
+    margins = thr - aff
+    worst = int(np.argmin(margins))
     return FeasibilityResult(
         feasible=feasible,
-        worst_link=worst_link,
-        worst_margin=worst_margin,
-        per_link_affectance=per_link,
+        worst_link=member_list[worst],
+        worst_margin=float(margins[worst]),
+        per_link_affectance=dict(zip(member_list, aff.tolist())),
     )
 
 
@@ -154,11 +135,15 @@ class FeasibilityReport:
 
 
 def schedule_feasible(sched: Schedule, inst: Instance) -> FeasibilityReport:
-    """Check a schedule: partition invariant first, then every slot."""
+    """Check a schedule: partition invariant first, then every slot.
+
+    Slots are evaluated only when every id in them names a link of the
+    instance; otherwise the report carries the partition problems alone.
+    """
     problems = check_partition(sched, inst)
-    results = tuple(
-        slot_feasible(slot, inst) for slot in sched.slots if slot
-    )
+    known = inst.link_ids()
+    slots = sched.slots if all(slot <= known for slot in sched.slots) else ()
+    results = tuple(slot_feasible(slot, inst) for slot in slots if slot)
     all_ok = all(r.feasible for r in results)
     return FeasibilityReport(
         partition_ok=not problems,

@@ -35,9 +35,9 @@ from linsched import (
     subset_table,
     verify_reduction,
 )
-from linsched.scheduler import separation_violations
-from linsched.sinr import _raw_slot_feasible
 from linsched.gen import SplitMix64
+
+from reference import raw_slot_feasible, separation_violations
 
 PARAMS = PhysicalParams(alpha=3.0, beta=2.0, noise=0.0, c_l=1.0, K=1.0, m=2.0)
 
@@ -280,7 +280,7 @@ def test_criterion_10_invariance_suite(tmp_path):
         inst = random_euclidean(GenSpec(n=6, params=PARAMS, box=8.0, seed=seed))
         for mask in range(1, 1 << 6):
             members = [v for v in range(6) if mask >> v & 1]
-            if slot_feasible(members, inst).feasible != _raw_slot_feasible(members, inst):
+            if slot_feasible(members, inst).feasible != raw_slot_feasible(members, inst):
                 ok = False
                 notes.append("eq2-eq4")
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from linsched import cli, load_instance, load_schedule
+from linsched import InternalError, cli, load_instance, load_schedule, sinr
 
 
 def run_ok(capsys, argv):
@@ -82,10 +82,12 @@ def test_verify_flags_non_partition(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     sched = tmp_path / "sched.json"
     assert cli.run(gen_args(inst, n=3)) == 0
-    sched.write_text(json.dumps({"schema": "sinr-linsched/1", "slots": [[0, 2]]}))
-    code, out = run_ok(capsys, ["verify", "--in", str(inst), "--sched", str(sched)])
-    assert code == 1
-    assert json.loads(out)["verdict"] == "invalid-partition"
+    # a missing link, then ids naming no link (an index past the end, a negative one)
+    for slots in ([[0, 2]], [[0, 1, 2], [7]], [[0, 1, 2], [-1]]):
+        sched.write_text(json.dumps({"schema": "sinr-linsched/1", "slots": slots}))
+        code, out = run_ok(capsys, ["verify", "--in", str(inst), "--sched", str(sched)])
+        assert code == 1
+        assert json.loads(out)["verdict"] == "invalid-partition"
 
 
 def test_bound_command(tmp_path, capsys):
@@ -214,3 +216,48 @@ def test_pipeline_byte_determinism(tmp_path, capsys):
         assert code == 0
         outs.append((inst.read_bytes(), sched.read_bytes(), stdout, verify_out))
     assert outs[0] == outs[1]
+
+
+def test_constants_overflow_exit_2(capsys):
+    assert cli.run(["constants", "--alpha", "1e6", "--beta", "2"]) == 2
+    assert "overflow" in capsys.readouterr().err
+
+
+def test_non_finite_instance_exit_2(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert cli.run(gen_args(inst, n=5)) == 0
+    doc = json.loads(inst.read_text())
+    doc["metric"]["points"][0][0] = float("nan")
+    inst.write_text(json.dumps(doc))
+    code = cli.run(["schedule", "--in", str(inst), "--c", "auto", "--out", str(tmp_path / "s.json")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_swapped_link_ids_exit_2(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert cli.run(gen_args(inst, n=3)) == 0
+    doc = json.loads(inst.read_text())
+    doc["links"][0]["id"], doc["links"][1]["id"] = 1, 0
+    inst.write_text(json.dumps(doc))
+    code = cli.run(["schedule", "--in", str(inst), "--c", "auto", "--out", str(tmp_path / "s.json")])
+    assert code == 2
+    assert "link-ids" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [InternalError("verdicts diverged"), ZeroDivisionError("bug")])
+def test_unexpected_errors_exit_3(tmp_path, capsys, monkeypatch, exc):
+    inst = tmp_path / "inst.json"
+    sched = tmp_path / "sched.json"
+    assert cli.run(gen_args(inst, n=4)) == 0
+    assert cli.run(["schedule", "--in", str(inst), "--c", "auto", "--out", str(sched)]) == 0
+    capsys.readouterr()
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(sinr, "slot_feasible", broken)
+    assert cli.run(["verify", "--in", str(inst), "--sched", str(sched)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("internal error") and type(exc).__name__ in err
+    assert "\n" not in err

@@ -79,6 +79,9 @@ def test_genspec_rejects_bad_ranges(params):
         GenSpec(n=5, params=params, box=1.0, lmin=1.0, lmax=2.0)
     with pytest.raises(ValueError):
         GenSpec(n=-1, params=params)
+    for field in ("box", "lmin", "lmax"):
+        with pytest.raises(ValueError, match="finite"):
+            GenSpec(n=5, params=params, **{field: float("nan")})
 
 
 def test_collocated_family_against_oracle(params):
@@ -99,3 +102,6 @@ def test_family_input_validation(params):
         spread(0, 1.0, params)
     with pytest.raises(ValueError):
         spread(3, 0.0, params)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            spread(3, bad, params)

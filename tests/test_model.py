@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -59,6 +60,12 @@ def test_physical_params_rejects_bad_values():
         PhysicalParams(alpha=3.0, beta=2.0, K=0.5)
     with pytest.raises(ValueError):
         PhysicalParams(alpha=3.0, beta=2.0, m=0.5)
+    # NaN fails every comparison, so each check must be written to reject it
+    for field in ("alpha", "beta", "noise", "c_l", "K", "m"):
+        for bad in (math.nan, math.inf):
+            kwargs = {"alpha": 3.0, "beta": 2.0, field: bad}
+            with pytest.raises(ValueError, match=field):
+                PhysicalParams(**kwargs)
 
 
 def test_validate_clean_random_instance():
@@ -138,6 +145,9 @@ def test_validate_link_id_and_range_errors():
     params = PhysicalParams(alpha=3.0, beta=2.0)
     bad_ids = Instance(metric=metric, links=(Link(1, 0, 1),), params=params)
     assert any(d.code == "link-ids" for d in validate_instance(bad_ids))
+    # ids must be positional: schedules name links by id, algorithms by index
+    swapped = Instance(metric=metric, links=(Link(1, 0, 1), Link(0, 1, 0)), params=params)
+    assert any(d.code == "link-ids" for d in validate_instance(swapped))
     bad_node = Instance(metric=metric, links=(Link(0, 0, 5),), params=params)
     assert any(d.code == "link-node-range" for d in validate_instance(bad_node))
 
@@ -200,6 +210,31 @@ def test_load_rejects_non_numeric_param():
     text = save_instance(inst).replace('"alpha": 3.0', '"alpha": "three"')
     with pytest.raises(FormatError, match="alpha"):
         load_instance(text)
+
+
+def test_load_rejects_non_finite_numbers():
+    text = save_instance(make_random_instance(seed=1, n=2))
+    for old, new in [
+        ('"noise": 0.0', '"noise": NaN'),
+        ('"K": 1.0', '"K": Infinity'),
+        ('"alpha": 3.0', '"alpha": 1' + "0" * 400),
+    ]:
+        with pytest.raises(FormatError, match="finite"):
+            load_instance(text.replace(old, new))
+    doc = json.loads(text)
+    for bad in (math.nan, -math.inf):
+        doc["metric"]["points"][0][1] = bad
+        with pytest.raises(FormatError, match="finite"):
+            load_instance(json.dumps(doc))
+
+
+def test_validate_rejects_non_finite_metric():
+    params = PhysicalParams(alpha=3.0, beta=2.0)
+    links = (Link(0, 0, 1),)
+    euclid = Instance(EuclideanMetric(points=((0.0, 0.0), (math.nan, 1.0))), links, params)
+    matrix = Instance(MatrixMetric(d=((0.0, math.inf), (math.inf, 0.0))), links, params)
+    for inst in (euclid, matrix):
+        assert any(d.code == "non-finite" for d in validate_instance(inst))
 
 
 def test_load_rejects_wrong_container_types():

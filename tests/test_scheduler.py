@@ -10,14 +10,12 @@ from linsched import (
     compute_c,
     compute_c0,
     greedy_schedule,
-    greedy_schedule_reference,
     random_euclidean,
     schedule_feasible,
     spread,
 )
-from linsched.scheduler import admission_trace_ok, separation_violations
-
 from conftest import make_random_instance
+from reference import admission_trace_ok, greedy_schedule_reference, separation_violations
 
 
 def test_compute_c0_closed_form_values():

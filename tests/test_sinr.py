@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from linsched import (
     EuclideanMetric,
     Instance,
+    InternalError,
     Link,
     MatrixMetric,
     PhysicalParams,
@@ -15,12 +17,13 @@ from linsched import (
     affectance_term,
     collocated,
     schedule_feasible,
+    sinr,
     slot_feasible,
 )
-from linsched.sinr import _raw_slot_feasible
 from linsched.gen import SplitMix64
 
 from conftest import make_random_instance
+from reference import raw_slot_feasible
 
 
 def unit_link_instance(cross: float, alpha: float = 3.0, beta: float = 2.0):
@@ -132,7 +135,7 @@ def test_raw_and_affectance_forms_agree():
             inst = make_random_instance(seed=seed, n=6, box=8.0, params=params)
             for members in ([0, 1], [2, 3, 4], list(range(6))):
                 res = slot_feasible(members, inst)
-                assert res.feasible == _raw_slot_feasible(sorted(members), inst)
+                assert res.feasible == raw_slot_feasible(sorted(members), inst)
 
 
 def test_noise_tightens_threshold():
@@ -208,3 +211,12 @@ def test_slot_feasible_requires_nonempty():
     inst = make_random_instance(seed=0, n=2)
     with pytest.raises(ValueError):
         slot_feasible([], inst)
+
+
+def test_cross_check_disagreement_raises(monkeypatch):
+    # a kernel that drops every term makes the affectance form say feasible
+    # while the raw power form still sees the collocated senders
+    inst = collocated(2, PhysicalParams(alpha=3.0, beta=2.0))
+    monkeypatch.setattr(sinr.kernel, "ratio_power", lambda num, den, alpha: np.zeros(den.shape))
+    with pytest.raises(InternalError, match="diverged"):
+        slot_feasible([0, 1], inst)
