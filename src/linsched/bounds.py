@@ -45,7 +45,7 @@ def interference_measure(members: Iterable[int], inst: Instance) -> tuple[float,
     if not member_list:
         raise ValueError("interference_measure requires a nonempty link set")
     W = np.array(member_list, dtype=np.intp)
-    nodes = np.array(inst.used_nodes(), dtype=np.intp)
+    nodes = inst.used_nodes()
     values = np.empty(len(nodes))
     for cols in kernel.blocks(len(nodes), len(W)):
         values[cols] = _capped_sums(W, nodes[cols], inst)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import EuclideanMetric, Instance, Link, MatrixMetric, PhysicalParams
 
 _MASK64 = (1 << 64) - 1
@@ -80,7 +82,7 @@ def random_euclidean(spec: GenSpec) -> Instance:
         points.append((sx + length * math.cos(angle), sy + length * math.sin(angle)))
         links.append(Link(id=i, sender=2 * i, receiver=2 * i + 1))
     return Instance(
-        metric=EuclideanMetric(points=tuple(points)),
+        metric=EuclideanMetric(points=points),
         links=tuple(links),
         params=spec.params,
     )
@@ -96,15 +98,10 @@ def collocated(k: int, params: PhysicalParams) -> Instance:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    rows = []
-    for p in range(2 * k):
-        row = []
-        for q in range(2 * k):
-            same_side = (p < k) == (q < k)
-            row.append(0.0 if same_side else 1.0)
-        rows.append(tuple(row))
+    is_sender = np.arange(2 * k) < k
+    d = (is_sender[:, None] != is_sender[None, :]).astype(np.float64)
     links = tuple(Link(id=i, sender=i, receiver=k + i) for i in range(k))
-    return Instance(metric=MatrixMetric(d=tuple(rows)), links=links, params=params)
+    return Instance(metric=MatrixMetric(d=d), links=links, params=params)
 
 
 def spread(k: int, separation: float, params: PhysicalParams) -> Instance:
@@ -125,5 +122,5 @@ def spread(k: int, separation: float, params: PhysicalParams) -> Instance:
         points.append((x + 1.0,))
         links.append(Link(id=i, sender=2 * i, receiver=2 * i + 1))
     return Instance(
-        metric=EuclideanMetric(points=tuple(points)), links=tuple(links), params=params
+        metric=EuclideanMetric(points=points), links=tuple(links), params=params
     )

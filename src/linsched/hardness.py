@@ -54,10 +54,8 @@ def pad_partition(a: list[int]) -> list[int]:
     return b
 
 
-def metric_complete(
-    specified: list[tuple[int, int, float]], n_nodes: int
-) -> tuple[tuple[float, ...], ...]:
-    """Complete partial distances into a full pseudometric matrix.
+def metric_complete(specified: list[tuple[int, int, float]], n_nodes: int) -> np.ndarray:
+    """Complete partial distances into a full pseudometric matrix (a float array).
 
     Runs all-pairs shortest paths over the graph whose edges are exactly the
     specified pairs, so symmetry and the triangle inequality hold by
@@ -100,10 +98,10 @@ def metric_complete(
         if not rel_close(d[p, q], value):
             raise ValueError(
                 f"completion shortens specified d({p},{q}) from {value!r} "
-                f"to {d[p, q]!r}; the specified distances violate the "
+                f"to {float(d[p, q])!r}; the specified distances violate the "
                 "triangle inequality"
             )
-    return tuple(tuple(float(x) for x in row) for row in d)
+    return d
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 The interference measure, slot feasibility, the greedy scheduler and the
 exact oracle's term matrix are all sums of this one term.  They get it from
-here, a block of terms at a time, computed over the instance's cached numpy
-arrays (``Instance.senders``, ``receivers``, ``length_array`` and
-``metric.array``).  Callers split their work with ``blocks`` so that no
-temporary grows beyond about ``BLOCK`` elements, whatever the instance size.
+here, a block of terms at a time, computed straight from the instance's
+read-only arrays (``metric.points`` or ``metric.d``, ``Instance.lengths``,
+``senders`` and ``receivers``).  Callers split their work with ``blocks`` so
+that no temporary grows beyond about ``BLOCK`` elements, whatever the
+instance size.
 
 The arithmetic follows the scalar forms it replaced.  Powers use
 ``np.float_power``, which calls the C library ``pow`` as Python's ``**``
@@ -39,8 +40,8 @@ def dist(inst: Instance, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Distances between the nodes P and Q, as a (len(P), len(Q)) block."""
     metric = inst.metric
     if isinstance(metric, MatrixMetric):
-        return metric.array[np.ix_(P, Q)]
-    a, b = metric.array[P], metric.array[Q]
+        return metric.d[np.ix_(P, Q)]
+    a, b = metric.points[P], metric.points[Q]
     d = np.abs(a[:, None, 0] - b[None, :, 0])
     for k in range(1, metric.dim):
         d = np.hypot(d, a[:, None, k] - b[None, :, k])
@@ -61,7 +62,7 @@ def terms(inst: Instance, W: np.ndarray, X: np.ndarray) -> np.ndarray:
     Pass ``inst.receivers[V]`` as X for the terms of links W on links V.
     """
     d = dist(inst, inst.senders[W], X)
-    return ratio_power(inst.length_array[W][:, None], d, inst.params.alpha)
+    return ratio_power(inst.lengths[W][:, None], d, inst.params.alpha)
 
 
 def ascending_sums(T: np.ndarray) -> np.ndarray:

@@ -8,8 +8,10 @@ The matrix variant may be a pseudometric (distinct nodes at distance zero),
 which some adversarial constructions require.
 
 All objects are immutable after construction and safe to share across
-threads.  Validation never raises for domain problems; it returns a list of
-diagnostics so callers can decide what is fatal.
+threads.  The numbers are stored once, as read-only numpy arrays: the
+points or the distance matrix of the metric and the link lengths, which
+``kernel`` reads directly.  Validation never raises for domain problems; it
+returns a list of diagnostics so callers can decide what is fatal.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ def _read_only(values, dtype) -> np.ndarray:
     return arr
 
 
+def _fraction_gap(m: float) -> float:
+    """m + 1 - ceil(m), computed exactly; m + 1.0 rounds to m for m >= 2^53."""
+    return 1.0 - (math.ceil(m) - m)
+
+
 def rel_close(x: float, y: float, rel: float = REL_TOL) -> bool:
     if x == y:
         return True
@@ -50,11 +57,27 @@ def rel_close(x: float, y: float, rel: float = REL_TOL) -> bool:
     return diff <= rel * max(abs(x), abs(y))
 
 
+def _float_matrix(values, name: str) -> np.ndarray:
+    """``values`` as a read-only 2-D float array; raises ValueError otherwise."""
+    arr = _read_only(values, np.float64)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 0)
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D array of numbers, got shape {arr.shape}")
+    return arr
+
+
 @dataclass(frozen=True)
 class EuclideanMetric:
-    """Node positions as coordinate vectors in k-dimensional Euclidean space."""
+    """Node positions as the rows of a read-only (nodes, dim) float array."""
 
-    points: tuple[tuple[float, ...], ...]
+    points: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "points", _float_matrix(self.points, "points"))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and np.array_equal(self.points, other.points)
 
     @property
     def n_nodes(self) -> int:
@@ -62,34 +85,30 @@ class EuclideanMetric:
 
     @property
     def dim(self) -> int:
-        return len(self.points[0]) if self.points else 0
+        return self.points.shape[1]
 
     def distance(self, p: int, q: int) -> float:
-        return math.dist(self.points[p], self.points[q])
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The points as a read-only (nodes, dim) float array."""
-        return _read_only(self.points, np.float64).reshape(self.n_nodes, self.dim)
+        return math.dist(self.points[p].tolist(), self.points[q].tolist())
 
 
 @dataclass(frozen=True)
 class MatrixMetric:
-    """Explicit symmetric nonnegative distance matrix (pseudometric allowed)."""
+    """Distance matrix as a read-only 2-D float array (pseudometric allowed)."""
 
-    d: tuple[tuple[float, ...], ...]
+    d: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "d", _float_matrix(self.d, "d"))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and np.array_equal(self.d, other.d)
 
     @property
     def n_nodes(self) -> int:
         return len(self.d)
 
     def distance(self, p: int, q: int) -> float:
-        return self.d[p][q]
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The distances as a read-only (N, N) float array."""
-        return _read_only(self.d, np.float64).reshape(self.n_nodes, self.n_nodes)
+        return float(self.d[p, q])
 
 
 Metric = EuclideanMetric | MatrixMetric
@@ -177,7 +196,7 @@ class PhysicalParams:
 
     def alpha_condition_bound(self) -> float:
         """Smallest admissible path-loss exponent, m/(m+1-ceil(m))."""
-        return self.m / (self.m + 1.0 - math.ceil(self.m))
+        return self.m / _fraction_gap(self.m)
 
 
 @dataclass(frozen=True)
@@ -193,17 +212,13 @@ class Instance:
         return len(self.links)
 
     @cached_property
-    def lengths(self) -> tuple[float, ...]:
+    def lengths(self) -> np.ndarray:
+        """Length of each link, as a read-only float array indexed by position."""
         m = self.metric
-        return tuple(m.distance(ln.sender, ln.receiver) for ln in self.links)
+        return _read_only([m.distance(ln.sender, ln.receiver) for ln in self.links], np.float64)
 
     def link_length(self, link_id: int) -> float:
-        return self.lengths[link_id]
-
-    @cached_property
-    def length_array(self) -> np.ndarray:
-        """``lengths`` as a read-only float array indexed by link position."""
-        return _read_only(self.lengths, np.float64)
+        return float(self.lengths[link_id])
 
     @cached_property
     def senders(self) -> np.ndarray:
@@ -222,13 +237,13 @@ class Instance:
     def link_ids(self) -> frozenset[int]:
         return frozenset(ln.id for ln in self.links)
 
-    def used_nodes(self) -> tuple[int, ...]:
+    def used_nodes(self) -> np.ndarray:
         """Sorted distinct node indices appearing as a sender or receiver."""
-        seen: set[int] = set()
-        for ln in self.links:
-            seen.add(ln.sender)
-            seen.add(ln.receiver)
-        return tuple(sorted(seen))
+        # Not np.unique: on first use it imports numpy.ma, about 0.9 MB.
+        nodes = np.sort(np.concatenate((self.senders, self.receivers)))
+        first = np.ones(len(nodes), dtype=bool)
+        first[1:] = nodes[1:] != nodes[:-1]
+        return nodes[first]
 
 
 @dataclass(frozen=True)
@@ -250,66 +265,61 @@ class Diagnostic:
 
 
 def _check_matrix(metric: MatrixMetric, check_triangle: bool) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
     d = metric.d
     n = len(d)
-    if any(len(row) != n for row in d):
-        out.append(Diagnostic("error", "matrix-shape", "distance matrix is not square"))
-        return out
-    if not np.isfinite(metric.array).all():
-        out.append(Diagnostic("error", "non-finite", "distance matrix has a NaN or infinite entry"))
-        return out
-    max_d = 0.0
-    for p in range(n):
-        if d[p][p] != 0.0:
+    if d.shape != (n, n):
+        return [Diagnostic("error", "matrix-shape", "distance matrix is not square")]
+    if not np.isfinite(d).all():
+        return [Diagnostic("error", "non-finite", "distance matrix has a NaN or infinite entry")]
+    out: list[Diagnostic] = []
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    asymmetric = upper & (d != d.T)
+    negative = upper & (d < 0)
+    zero = upper & (d == 0.0)
+    flagged = asymmetric | negative | zero
+    np.fill_diagonal(flagged, np.diagonal(d) != 0.0)
+    # Row-major order reports d(p,p) before the pairs (p, q > p), row by row.
+    for p, q in zip(*(idx.tolist() for idx in np.nonzero(flagged))):
+        dpq = float(d[p, q])
+        if p == q:
+            out.append(Diagnostic("error", "matrix-diagonal", f"d({p},{p}) = {dpq!r}, expected 0"))
+            continue
+        if asymmetric[p, q]:
             out.append(
-                Diagnostic("error", "matrix-diagonal", f"d({p},{p}) = {d[p][p]!r}, expected 0")
+                Diagnostic(
+                    "error",
+                    "matrix-asymmetric",
+                    f"d({p},{q}) = {dpq!r} but d({q},{p}) = {float(d[q, p])!r}",
+                )
             )
-        for q in range(p + 1, n):
-            if d[p][q] != d[q][p]:
-                out.append(
-                    Diagnostic(
-                        "error",
-                        "matrix-asymmetric",
-                        f"d({p},{q}) = {d[p][q]!r} but d({q},{p}) = {d[q][p]!r}",
-                    )
+        if negative[p, q]:
+            out.append(Diagnostic("error", "matrix-negative", f"d({p},{q}) = {dpq!r} < 0"))
+        elif zero[p, q]:
+            out.append(
+                Diagnostic(
+                    "warning", "pseudometric-zero", f"distinct nodes {p} and {q} are at distance 0"
                 )
-            if d[p][q] < 0:
-                out.append(
-                    Diagnostic("error", "matrix-negative", f"d({p},{q}) = {d[p][q]!r} < 0")
-                )
-            elif d[p][q] == 0.0:
-                out.append(
-                    Diagnostic(
-                        "warning",
-                        "pseudometric-zero",
-                        f"distinct nodes {p} and {q} are at distance 0",
-                    )
-                )
-            max_d = max(max_d, abs(d[p][q]))
+            )
     if any(diag.severity == "error" for diag in out):
         return out
     if check_triangle:
         # Tolerance is absolute after normalizing the largest distance to 1.
-        tol = REL_TOL * max(max_d, 1.0)
+        tol = REL_TOL * max(float(np.abs(d).max(initial=0.0)), 1.0)
         for p in range(n):
-            dp = d[p]
-            for q in range(n):
-                if q == p:
-                    continue
-                dq = d[q]
-                dpq = dp[q]
-                for r in range(n):
-                    if dp[r] > dpq + dq[r] + tol:
-                        out.append(
-                            Diagnostic(
-                                "error",
-                                "triangle-violation",
-                                f"d({p},{r}) = {dp[r]!r} exceeds "
-                                f"d({p},{q}) + d({q},{r}) = {dpq + dq[r]!r} "
-                                f"(triple {p},{q},{r})",
-                            )
-                        )
+            with np.errstate(over="ignore"):  # a sum beyond the float range is inf
+                via = d[p][:, None] + d  # via[q, r] = d(p,q) + d(q,r)
+                over = d[p] > via + tol
+            over[p] = False
+            for q, r in zip(*(idx.tolist() for idx in np.nonzero(over))):
+                out.append(
+                    Diagnostic(
+                        "error",
+                        "triangle-violation",
+                        f"d({p},{r}) = {float(d[p, r])!r} exceeds "
+                        f"d({p},{q}) + d({q},{r}) = {float(via[q, r])!r} "
+                        f"(triple {p},{q},{r})",
+                    )
+                )
     return out
 
 
@@ -326,27 +336,12 @@ def validate_instance(inst: Instance, check_triangle: bool = True) -> list[Diagn
     params = inst.params
 
     if isinstance(metric, EuclideanMetric):
-        if metric.n_nodes > 0:
-            k = len(metric.points[0])
-            if k < 1:
-                out.append(Diagnostic("error", "euclidean-dim", "dimension must be >= 1"))
-            for i, pt in enumerate(metric.points):
-                if len(pt) != k:
-                    out.append(
-                        Diagnostic(
-                            "error",
-                            "euclidean-ragged",
-                            f"point {i} has {len(pt)} coordinates, expected {k}",
-                        )
-                    )
-            if not out:
-                finite = np.isfinite(metric.array).all(axis=1)
-                for i in np.flatnonzero(~finite).tolist():
-                    out.append(
-                        Diagnostic(
-                            "error", "non-finite", f"point {i} = {metric.points[i]!r} is not finite"
-                        )
-                    )
+        if metric.n_nodes > 0 and metric.dim < 1:
+            out.append(Diagnostic("error", "euclidean-dim", "dimension must be >= 1"))
+        finite = np.isfinite(metric.points).all(axis=1)
+        for i in np.flatnonzero(~finite).tolist():
+            point = tuple(metric.points[i].tolist())
+            out.append(Diagnostic("error", "non-finite", f"point {i} = {point!r} is not finite"))
     else:
         out.extend(_check_matrix(metric, check_triangle))
 
@@ -376,13 +371,10 @@ def validate_instance(inst: Instance, check_triangle: bool = True) -> list[Diagn
         d.severity == "error" and d.code.startswith(("matrix", "non-finite")) for d in out
     )
     if index_ok and metric_ok:
-        for ln in inst.links:
-            if metric.distance(ln.sender, ln.receiver) <= 0.0:
-                out.append(
-                    Diagnostic(
-                        "error", "zero-length-link", f"link {ln.id} has length 0"
-                    )
-                )
+        for i in np.flatnonzero(inst.lengths <= 0.0).tolist():
+            out.append(
+                Diagnostic("error", "zero-length-link", f"link {inst.links[i].id} has length 0")
+            )
 
     if params.c_l <= params.beta * params.noise:
         out.append(
@@ -521,15 +513,20 @@ def load_instance(text: str) -> Instance:
                 raise FormatError(
                     f"metric.points[{i}] has {len(pt)} coordinates, expected dim={dim}"
                 )
-            points.append(tuple(_as_number(x, f"metric.points[{i}]") for x in pt))
-        metric = EuclideanMetric(points=tuple(points))
+            points.append([_as_number(x, f"metric.points[{i}]") for x in pt])
+        metric = EuclideanMetric(points=points)
     elif mtype == "matrix":
         _reject_unknown(mraw, {"type", "d"}, "metric")
         rows_raw = _as_array(_require(mraw, "d", "metric"), "metric.d")
-        rows = tuple(
-            tuple(_as_number(x, f"metric.d[{i}]") for x in _as_array(row, f"metric.d[{i}]"))
-            for i, row in enumerate(rows_raw)
-        )
+        rows = []
+        for i, row in enumerate(rows_raw):
+            row = _as_array(row, f"metric.d[{i}]")
+            if rows and len(row) != len(rows[0]):
+                raise FormatError(
+                    f"metric.d[{i}] has {len(row)} entries, expected {len(rows[0])} "
+                    "as in metric.d[0]"
+                )
+            rows.append([_as_number(x, f"metric.d[{i}]") for x in row])
         metric = MatrixMetric(d=rows)
     else:
         raise FormatError(f"unknown metric type {mtype!r}")
@@ -571,10 +568,10 @@ def save_instance(inst: Instance) -> str:
         metric_doc = {
             "type": "euclidean",
             "dim": inst.metric.dim,
-            "points": [list(pt) for pt in inst.metric.points],
+            "points": inst.metric.points.tolist(),
         }
     else:
-        metric_doc = {"type": "matrix", "d": [list(row) for row in inst.metric.d]}
+        metric_doc = {"type": "matrix", "d": inst.metric.d.tolist()}
     doc = {
         "schema": SCHEMA,
         "params": {

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .model import Instance, PhysicalParams, Schedule
+from .model import Instance, PhysicalParams, Schedule, _fraction_gap
 
 
 def compute_c0(alpha: float, K: float, m: float) -> float:
@@ -26,11 +26,11 @@ def compute_c0(alpha: float, K: float, m: float) -> float:
     Requires alpha * (m + 1 - ceil(m)) > m; raises ValueError otherwise.
     """
     ceil_m = math.ceil(m)
-    gap = alpha * (m + 1.0 - ceil_m)
+    gap = alpha * _fraction_gap(m)
     if not gap > m:
         raise ValueError(
             f"alpha condition violated: need alpha > m/(m+1-ceil(m)) = "
-            f"{m / (m + 1.0 - ceil_m)!r}, got alpha = {alpha!r}"
+            f"{m / _fraction_gap(m)!r}, got alpha = {alpha!r}"
         )
     try:
         c0 = 3.0**alpha * (2.0 * ceil_m * K * K) ** (alpha / m) * gap / (gap - m)
@@ -81,9 +81,9 @@ class SchedulerConfig:
         return cls(c=compute_c(params.alpha, params.effective_beta(), params.K, params.m))
 
 
-def _processing_order(inst: Instance) -> list[int]:
-    # Descending length; ties broken by ascending link id for determinism.
-    return sorted(range(inst.n), key=lambda i: (-inst.link_length(i), i))
+def _processing_order(inst: Instance) -> np.ndarray:
+    # Descending length; the stable sort breaks ties by ascending link id.
+    return np.argsort(-inst.lengths, kind="stable")
 
 
 def greedy_schedule(inst: Instance, cfg: SchedulerConfig) -> Schedule:
@@ -94,7 +94,7 @@ def greedy_schedule(inst: Instance, cfg: SchedulerConfig) -> Schedule:
     slot at once.  Loads add up in placement order.
     """
     thr = cfg.admit_threshold(inst.params.alpha)
-    order = np.array(_processing_order(inst), dtype=np.intp)
+    order = _processing_order(inst)
     slot_of = np.empty(inst.n, dtype=np.intp)  # slot of the link at each position
     column = np.empty(inst.n)
     slots: list[list[int]] = []

@@ -76,9 +76,8 @@ def slot_feasible(members: Iterable[int], inst: Instance) -> FeasibilityResult:
         raise ValueError("slot_feasible requires a nonempty slot")
     p = inst.params
     M = np.array(member_list, dtype=np.intp)
-    lengths = inst.length_array[M][:, None]
-    with np.errstate(over="ignore"):
-        powers = p.c_l * np.float_power(lengths, p.alpha)  # sender powers, linear rule
+    lengths = inst.lengths[M][:, None]
+    log_lengths = np.log(lengths)
     aff = np.empty(len(M))
     interference = np.empty(len(M))  # raw form: summed received power
     for cols in kernel.blocks(len(M), len(M)):
@@ -87,11 +86,11 @@ def slot_feasible(members: Iterable[int], inst: Instance) -> FeasibilityResult:
         t = kernel.ratio_power(lengths, d, p.alpha)
         t[own] = 0.0
         aff[cols] = kernel.ascending_sums(t)
-        # Raw form: received power c_l*len_w^alpha / d^alpha of every other sender.
+        # Raw form: received power c_l*len_w^alpha / d^alpha of every other
+        # sender, in log units so that len_w^alpha and d^alpha cannot overflow
+        # into inf/inf.  d = 0 gives log d = -inf and so power +inf.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            den = np.float_power(d, p.alpha)
-            r = powers / den
-        r[den == 0.0] = np.inf
+            r = p.c_l * np.exp(p.alpha * (log_lengths - np.log(d)))
         r[own] = 0.0
         interference[cols] = kernel.ascending_sums(r)
     thr = p.affectance_threshold()

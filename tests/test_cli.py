@@ -4,7 +4,20 @@ import json
 
 import pytest
 
-from linsched import InternalError, cli, load_instance, load_schedule, sinr
+from linsched import (
+    EuclideanMetric,
+    Instance,
+    InternalError,
+    Link,
+    PhysicalParams,
+    Schedule,
+    cli,
+    load_instance,
+    load_schedule,
+    save_instance,
+    save_schedule,
+    sinr,
+)
 
 
 def run_ok(capsys, argv):
@@ -170,6 +183,9 @@ def test_constants_output(capsys):
 
 def test_constants_alpha_condition_exit_2(capsys):
     assert cli.run(["constants", "--alpha", "2", "--beta", "2", "--K", "1", "--m", "2"]) == 2
+    # m + 1 rounds to m here; the bound m/(m+1-ceil(m)) is m, not a division by 0
+    assert cli.run(["constants", "--alpha", "3", "--beta", "2", "--m", "1e17"]) == 2
+    assert "= 1e+17" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -189,6 +205,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         "links": [{"id": 0, "sender": 0, "receiver": 1}],
     }))
     assert cli.run(["schedule", "--in", str(dup), "--out", str(tmp_path / "s.json")]) == 2
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(json.dumps({
+        "schema": "sinr-linsched/1",
+        "params": {"alpha": 3.0, "beta": 2.0, "noise": 0.0, "c_l": 1.0, "K": 1.0, "m": 2.0},
+        "metric": {"type": "matrix", "d": [[0.0, 1.0], [1.0]]},
+        "links": [{"id": 0, "sender": 0, "receiver": 1}],
+    }))
+    capsys.readouterr()
+    assert cli.run(["schedule", "--in", str(ragged), "--out", str(tmp_path / "s.json")]) == 2
+    assert "metric.d[1]" in capsys.readouterr().err
 
 
 def test_spread_family_requires_separation(tmp_path, capsys):
@@ -243,6 +269,22 @@ def test_swapped_link_ids_exit_2(tmp_path, capsys):
     code = cli.run(["schedule", "--in", str(inst), "--c", "auto", "--out", str(tmp_path / "s.json")])
     assert code == 2
     assert "link-ids" in capsys.readouterr().err
+
+
+def test_verify_far_links_at_huge_alpha_exit_0(tmp_path, capsys):
+    # len^alpha and d^alpha both overflow at alpha = 400; the raw-SINR
+    # cross-check must still agree with the affectance form
+    inst = Instance(
+        EuclideanMetric(points=((0.0, 0.0), (10.0, 0.0), (1000.0, 0.0), (1010.0, 0.0))),
+        (Link(0, 0, 1), Link(1, 2, 3)),
+        PhysicalParams(alpha=400.0, beta=2.0),
+    )
+    inst_path, sched_path = tmp_path / "inst.json", tmp_path / "sched.json"
+    inst_path.write_text(save_instance(inst))
+    sched_path.write_text(save_schedule(Schedule(slots=(frozenset({0, 1}),))))
+    code, out = run_ok(capsys, ["verify", "--in", str(inst_path), "--sched", str(sched_path)])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "feasible"
 
 
 @pytest.mark.parametrize("exc", [InternalError("verdicts diverged"), ZeroDivisionError("bug")])

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from linsched import (
+    Diagnostic,
     EuclideanMetric,
     FormatError,
     Instance,
@@ -103,6 +104,54 @@ def test_validate_triangle_violation_names_triple():
     assert not any(x.code == "triangle-violation" for x in skipped)
 
 
+def _matrix_diagnostics(d, check_triangle=True):
+    inst = Instance(
+        metric=MatrixMetric(d=d),
+        links=(Link(0, 0, 1),),
+        params=PhysicalParams(alpha=3.0, beta=2.0),
+    )
+    return validate_instance(inst, check_triangle=check_triangle)
+
+
+def test_validate_matrix_diagnostics_exact():
+    # every violated triple in (p, q, r) order, values printed as plain floats
+    d = (
+        (0.0, 0.1, 0.5, 0.1),
+        (0.1, 0.0, 0.2, 0.1),
+        (0.5, 0.2, 0.0, 0.3),
+        (0.1, 0.1, 0.3, 0.0),
+    )
+    triangle = "triangle-violation"
+    assert _matrix_diagnostics(d) == [
+        Diagnostic(
+            "error", triangle, "d(0,2) = 0.5 exceeds d(0,1) + d(1,2) = 0.30000000000000004 (triple 0,1,2)"
+        ),
+        Diagnostic("error", triangle, "d(0,2) = 0.5 exceeds d(0,3) + d(3,2) = 0.4 (triple 0,3,2)"),
+        Diagnostic(
+            "error", triangle, "d(2,0) = 0.5 exceeds d(2,1) + d(1,0) = 0.30000000000000004 (triple 2,1,0)"
+        ),
+        Diagnostic("error", triangle, "d(2,0) = 0.5 exceeds d(2,3) + d(3,0) = 0.4 (triple 2,3,0)"),
+    ]
+    # entry checks in row order: d(p,p) first, then the pairs (p, q > p)
+    d = (
+        (0.5, 1.0, -2.0),
+        (1.0, 0.0, 0.0),
+        (-1.0, 0.0, 0.25),
+    )
+    assert _matrix_diagnostics(d) == [
+        Diagnostic("error", "matrix-diagonal", "d(0,0) = 0.5, expected 0"),
+        Diagnostic("error", "matrix-asymmetric", "d(0,2) = -2.0 but d(2,0) = -1.0"),
+        Diagnostic("error", "matrix-negative", "d(0,2) = -2.0 < 0"),
+        Diagnostic("warning", "pseudometric-zero", "distinct nodes 1 and 2 are at distance 0"),
+        Diagnostic("error", "matrix-diagonal", "d(2,2) = 0.25, expected 0"),
+    ]
+    rectangular = ((0.0, 1.0, 2.0), (1.0, 0.0, 1.0))
+    for check_triangle in (True, False):
+        assert _matrix_diagnostics(rectangular, check_triangle) == [
+            Diagnostic("error", "matrix-shape", "distance matrix is not square")
+        ]
+
+
 def test_validate_zero_length_link():
     inst = Instance(
         metric=MatrixMetric(d=((0.0, 0.0), (0.0, 0.0))),
@@ -138,6 +187,10 @@ def test_validate_alpha_condition_warning():
     diags = validate_instance(inst)
     assert any(x.code == "alpha-condition" and x.severity == "warning" for x in diags)
     assert [x for x in diags if x.severity == "error"] == []
+    # m >= 2^53: m + 1.0 rounds to m, but m + 1 - ceil(m) is still 1
+    huge_m = Instance(inst.metric, inst.links, PhysicalParams(alpha=3.0, beta=2.0, m=1e17))
+    assert huge_m.params.alpha_condition_bound() == 1e17
+    assert [x.code for x in validate_instance(huge_m)] == ["alpha-condition"]
 
 
 def test_validate_link_id_and_range_errors():
@@ -183,7 +236,7 @@ def test_round_trip_preserves_awkward_floats():
         params=PhysicalParams(alpha=3.0, beta=2.0),
     )
     again = load_instance(save_instance(inst))
-    assert again.metric.points == pts
+    assert again.metric == EuclideanMetric(points=pts)
 
 
 def test_load_rejects_unknown_field():
@@ -250,6 +303,10 @@ def test_load_rejects_wrong_container_types():
         doc[field] = value
         with pytest.raises(FormatError, match=field.split(".")[0]):
             load_instance(_json.dumps(doc))
+    # a ragged distance matrix cannot be stored as an array
+    doc = dict(base, metric={"type": "matrix", "d": [[0.0, 1.0], [1.0]]})
+    with pytest.raises(FormatError, match=r"metric\.d\[1\] has 1 entries, expected 2"):
+        load_instance(_json.dumps(doc))
 
 
 def test_schedule_round_trip_and_partition_check():

@@ -1,0 +1,233 @@
+"""Property tests: bit-exact JSON round trips, and CLI exit codes on fuzzed
+instance documents.  Hypothesis runs derandomized with few examples, so the
+suite stays deterministic and fast.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import json
+import sys
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from linsched import (
+    EuclideanMetric,
+    Instance,
+    Link,
+    MatrixMetric,
+    PhysicalParams,
+    cli,
+    load_instance,
+    save_instance,
+)
+
+FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+# Floats whose text form is easy to get wrong: signed zeros, subnormals and
+# both ends of the normal range.
+AWKWARD = (
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072014e-308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    0.1,
+    1.0 / 3.0,
+)
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(AWKWARD)
+
+
+def positive(min_value: float = 0.0) -> st.SearchStrategy[float]:
+    return st.floats(min_value=min_value, max_value=sys.float_info.max, exclude_min=True)
+
+
+params = st.builds(
+    PhysicalParams,
+    alpha=positive(1.0),
+    beta=positive() | st.just(5e-324),
+    noise=st.sampled_from((0.0, -0.0, 5e-324)) | positive(),
+    c_l=positive(),
+    K=st.floats(min_value=1.0, max_value=sys.float_info.max),
+    m=st.floats(min_value=1.0, max_value=sys.float_info.max),
+)
+
+
+@st.composite
+def instances(draw, matrix: bool) -> Instance:
+    n_nodes = draw(st.integers(1, 5))
+    if matrix:
+        rows = st.lists(finite, min_size=n_nodes, max_size=n_nodes)
+        metric = MatrixMetric(d=draw(st.lists(rows, min_size=n_nodes, max_size=n_nodes)))
+    else:
+        dim = draw(st.integers(1, 3))
+        coords = st.lists(finite, min_size=dim, max_size=dim)
+        metric = EuclideanMetric(points=draw(st.lists(coords, min_size=n_nodes, max_size=n_nodes)))
+    node = st.integers(0, n_nodes - 1)
+    links = tuple(Link(i, draw(node), draw(node)) for i in range(draw(st.integers(0, 4))))
+    return Instance(metric=metric, links=links, params=draw(params))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _param_values(p: PhysicalParams) -> list[float]:
+    return [p.alpha, p.beta, p.noise, p.c_l, p.K, p.m]
+
+
+@FIXED
+@given(st.booleans().flatmap(instances))
+def test_instance_round_trip_is_bit_exact(inst):
+    text = save_instance(inst)
+    again = load_instance(text)
+    assert again == inst
+    old, new = (x.metric.d if isinstance(x.metric, MatrixMetric) else x.metric.points
+                for x in (inst, again))
+    assert old.shape == new.shape
+    assert np.array_equal(_bits(old), _bits(new))
+    assert np.array_equal(_bits(_param_values(inst.params)), _bits(_param_values(again.params)))
+    assert save_instance(again) == text
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed documents through the CLI: every one must be handled (exit 0 or 1)
+# or rejected with exit 2, never end in an internal error (3) or a traceback.
+
+_PARAMS = {"alpha": 3.0, "beta": 2.0, "noise": 0.0, "c_l": 1.0, "K": 1.0, "m": 2.0}
+BASE_DOCS = (
+    {
+        "schema": "sinr-linsched/1",
+        "params": _PARAMS,
+        "metric": {
+            "type": "euclidean",
+            "dim": 2,
+            "points": [[0.0, 0.0], [1.0, 0.0], [5.0, 0.0], [6.0, 0.0], [0.0, 8.0], [0.0, 9.5]],
+        },
+        "links": [{"id": i, "sender": 2 * i, "receiver": 2 * i + 1} for i in range(3)],
+    },
+    {
+        "schema": "sinr-linsched/1",
+        "params": _PARAMS,
+        "metric": {
+            "type": "matrix",
+            "d": [[abs(p - q) * 2.0 for q in range(4)] for p in range(4)],
+        },
+        "links": [{"id": 0, "sender": 0, "receiver": 1}, {"id": 1, "sender": 3, "receiver": 2}],
+    },
+)
+
+junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.integers(-(10**400), 10**400),
+    st.floats(),  # NaN and +-inf included: json.dumps writes them as NaN/Infinity
+    st.sampled_from(AWKWARD),
+    st.lists(st.integers(-2, 8), max_size=3),
+    st.dictionaries(st.sampled_from(["id", "x", "type"]), st.integers(-1, 3), max_size=2),
+)
+matrix_rows = st.one_of(
+    # ragged or rectangular rows, with numbers or junk in them
+    st.lists(st.lists(finite | st.integers(-3, 3), max_size=5), max_size=5),
+    st.lists(st.lists(junk, max_size=4), max_size=4),
+)
+
+
+def _paths(node, prefix=()):
+    """Every path (a tuple of keys and indices) to a value inside the document."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, prefix + (key,))
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    _get(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def _delete(doc, path):
+    del _get(doc, path[:-1])[path[-1]]
+    return doc
+
+
+def _numeric_paths(doc):
+    return [p for p in _paths(doc) if p and type(_get(doc, p)) in (int, float)]
+
+
+@st.composite
+def fuzzed_documents(draw) -> str:
+    """A valid base document under up to three edits: a number changed to
+    another number, any value replaced by junk, a field deleted, or the
+    metric replaced by a ragged or rectangular matrix."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASE_DOCS)))
+    edits = st.sampled_from(["number", "number", "number", "junk", "delete", "matrix"])
+    for action in draw(st.lists(edits, max_size=3)):
+        if action == "number":
+            value = draw(st.floats(0.0, 20.0) | st.integers(-1, 6) | finite)
+            doc = _replace(doc, draw(st.sampled_from(_numeric_paths(doc) or [()])), value)
+        elif action == "junk":
+            doc = _replace(doc, draw(st.sampled_from(list(_paths(doc)))), draw(junk))
+        elif action == "delete":
+            paths = [p for p in _paths(doc) if p]
+            if paths:
+                doc = _delete(doc, draw(st.sampled_from(paths)))
+        else:
+            doc = _replace(doc, ("metric",), {"type": "matrix", "d": draw(matrix_rows)})
+    return json.dumps(doc)
+
+
+schedules = st.one_of(
+    st.lists(st.lists(st.integers(-1, 4), max_size=3), max_size=4),
+    st.just([[0], [1], [2]]),
+    st.just([[0, 1, 2]]),
+    junk,
+)
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, err.getvalue()
+
+
+@settings(FIXED, max_examples=100)
+@given(
+    text=fuzzed_documents(),
+    slots=schedules,
+    own_schedule=st.booleans(),
+    c=st.sampled_from(["auto", "4"]),
+)
+def test_cli_exit_codes_on_fuzzed_instances(tmp_path_factory, text, slots, own_schedule, c):
+    d = tmp_path_factory.mktemp("fuzz")
+    inst, sched, out = d / "inst.json", d / "sched.json", d / "out.json"
+    inst.write_text(text, encoding="utf-8")
+    sched.write_text(json.dumps({"schema": "sinr-linsched/1", "slots": slots}), encoding="utf-8")
+    code, err = _run(["schedule", "--in", str(inst), "--c", c, "--out", str(out)])
+    assert code in (0, 1, 2), ("schedule", code, err, text)
+    assert "Traceback" not in err
+    if own_schedule and out.exists():
+        sched = out  # verify and bound the greedy schedule itself
+    for argv in (
+        ["verify", "--in", str(inst), "--sched", str(sched)],
+        ["bound", "--in", str(inst), "--sched", str(sched), "--c", c],
+    ):
+        code, err = _run(argv)
+        assert code in (0, 1, 2), (argv[0], code, err, text)
+        assert "Traceback" not in err

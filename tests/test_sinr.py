@@ -220,3 +220,16 @@ def test_cross_check_disagreement_raises(monkeypatch):
     monkeypatch.setattr(sinr.kernel, "ratio_power", lambda num, den, alpha: np.zeros(den.shape))
     with pytest.raises(InternalError, match="diverged"):
         slot_feasible([0, 1], inst)
+
+
+def test_raw_form_survives_power_overflow():
+    # two links of length 10 at distance 1000: at alpha = 400 both len^alpha
+    # and d^alpha overflow, yet each cross term is (10/1000)^400, which is 0
+    inst = Instance(
+        metric=EuclideanMetric(points=((0.0, 0.0), (10.0, 0.0), (1000.0, 0.0), (1010.0, 0.0))),
+        links=(Link(0, 0, 1), Link(1, 2, 3)),
+        params=PhysicalParams(alpha=400.0, beta=2.0),
+    )
+    res = slot_feasible([0, 1], inst)
+    assert res.feasible
+    assert res.per_link_affectance == {0: 0.0, 1: 0.0}
