@@ -23,13 +23,11 @@ from .model import (
     FormatError,
     Instance,
     InternalError,
-    Link,
     MatrixMetric,
     Metric,
     PhysicalParams,
     Schedule,
     check_partition,
-    distance,
     load_instance,
     load_schedule,
     save_instance,
@@ -68,7 +66,6 @@ __all__ = [
     "GenSpec",
     "Instance",
     "InternalError",
-    "Link",
     "MatrixMetric",
     "Metric",
     "PhysicalParams",
@@ -86,7 +83,6 @@ __all__ = [
     "collocated",
     "compute_c",
     "compute_c0",
-    "distance",
     "greedy_schedule",
     "interference_at",
     "interference_measure",

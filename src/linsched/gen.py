@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EuclideanMetric, Instance, Link, MatrixMetric, PhysicalParams
+from .model import EuclideanMetric, Instance, MatrixMetric, PhysicalParams
 
 _MASK64 = (1 << 64) - 1
 
@@ -72,18 +72,18 @@ def random_euclidean(spec: GenSpec) -> Instance:
     """
     rng = SplitMix64(spec.seed)
     points: list[tuple[float, ...]] = []
-    links = []
-    for i in range(spec.n):
+    for _ in range(spec.n):
         sx = rng.uniform(0.0, spec.box)
         sy = rng.uniform(0.0, spec.box)
         angle = rng.uniform(0.0, 2.0 * math.pi)
         length = rng.uniform(spec.lmin, spec.lmax)
         points.append((sx, sy))
         points.append((sx + length * math.cos(angle), sy + length * math.sin(angle)))
-        links.append(Link(id=i, sender=2 * i, receiver=2 * i + 1))
+    nodes = 2 * np.arange(spec.n)
     return Instance(
         metric=EuclideanMetric(points=points),
-        links=tuple(links),
+        senders=nodes,
+        receivers=nodes + 1,
         params=spec.params,
     )
 
@@ -100,8 +100,10 @@ def collocated(k: int, params: PhysicalParams) -> Instance:
         raise ValueError("k must be >= 1")
     is_sender = np.arange(2 * k) < k
     d = (is_sender[:, None] != is_sender[None, :]).astype(np.float64)
-    links = tuple(Link(id=i, sender=i, receiver=k + i) for i in range(k))
-    return Instance(metric=MatrixMetric(d=d), links=links, params=params)
+    senders = np.arange(k)
+    return Instance(
+        metric=MatrixMetric(d=d), senders=senders, receivers=k + senders, params=params
+    )
 
 
 def spread(k: int, separation: float, params: PhysicalParams) -> Instance:
@@ -115,12 +117,11 @@ def spread(k: int, separation: float, params: PhysicalParams) -> Instance:
     if not 0 < separation < math.inf:
         raise ValueError("separation must be > 0 and finite")
     points: list[tuple[float, ...]] = []
-    links = []
     for i in range(k):
         x = i * separation
         points.append((x,))
         points.append((x + 1.0,))
-        links.append(Link(id=i, sender=2 * i, receiver=2 * i + 1))
+    nodes = 2 * np.arange(k)
     return Instance(
-        metric=EuclideanMetric(points=points), links=tuple(links), params=params
+        metric=EuclideanMetric(points=points), senders=nodes, receivers=nodes + 1, params=params
     )

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    Instance,
-    Link,
-    MatrixMetric,
-    PhysicalParams,
-    rel_close,
-)
+from .model import Instance, MatrixMetric, PhysicalParams, rel_close
 from .oracle import DEFAULT_CAP, partition_solve, two_slot_decision
 from .sinr import affectance, affectance_term, slot_feasible
 
@@ -163,9 +157,11 @@ def build_reduction(a: list[int], alpha: float, beta: float) -> ReductionArtifac
                 specified.append((s(i), r(j), 1.0 + d_to_end[i] + d_to_end[j]))
 
     matrix = metric_complete(specified, n_nodes)
-    links = tuple(Link(id=i, sender=s(i), receiver=r(i)) for i in range(n + 2))
+    ids = np.arange(n + 2)
     params = PhysicalParams(alpha=alpha, beta=beta, noise=0.0, c_l=1.0, K=1.0, m=2.0)
-    instance = Instance(metric=MatrixMetric(d=matrix), links=links, params=params)
+    instance = Instance(
+        metric=MatrixMetric(d=matrix), senders=s(ids), receivers=r(ids), params=params
+    )
     node_map = {f"s{i}": s(i) for i in range(n + 2)}
     node_map.update({f"r{i}": r(i) for i in range(n + 2)})
     return ReductionArtifact(

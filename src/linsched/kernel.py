@@ -42,9 +42,10 @@ def dist(inst: Instance, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     if isinstance(metric, MatrixMetric):
         return metric.d[np.ix_(P, Q)]
     a, b = metric.points[P], metric.points[Q]
-    d = np.abs(a[:, None, 0] - b[None, :, 0])
-    for k in range(1, metric.dim):
-        d = np.hypot(d, a[:, None, k] - b[None, :, k])
+    with np.errstate(over="ignore"):  # points farther apart than the float range are at inf
+        d = np.abs(a[:, None, 0] - b[None, :, 0])
+        for k in range(1, metric.dim):
+            d = np.hypot(d, a[:, None, k] - b[None, :, k])
     return d
 
 

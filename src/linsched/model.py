@@ -1,17 +1,19 @@
-"""Core data model: metrics, links, instances, schedules, validation, JSON I/O.
+"""Core data model: metrics, instances, schedules, validation, JSON I/O.
 
 An instance is a set of communication links (sender/receiver node pairs)
 embedded in a metric space, plus the physical-layer parameters that decide
-which sets of links can transmit concurrently.  Two metric variants are
-supported: explicit Euclidean coordinates and an explicit distance matrix.
-The matrix variant may be a pseudometric (distinct nodes at distance zero),
-which some adversarial constructions require.
+which sets of links can transmit concurrently.  Link i is the pair
+``(senders[i], receivers[i])``; its position is its id.  Two metric variants
+are supported: explicit Euclidean coordinates and an explicit distance
+matrix.  The matrix variant may be a pseudometric (distinct nodes at
+distance zero), which some adversarial constructions require.
 
 All objects are immutable after construction and safe to share across
 threads.  The numbers are stored once, as read-only numpy arrays: the
-points or the distance matrix of the metric and the link lengths, which
-``kernel`` reads directly.  Validation never raises for domain problems; it
-returns a list of diagnostics so callers can decide what is fatal.
+points or the distance matrix of the metric, the sender and receiver node
+of each link, and the link lengths, which ``kernel`` reads directly.
+Validation never raises for domain problems; it returns a list of
+diagnostics so callers can decide what is fatal.
 """
 
 from __future__ import annotations
@@ -87,9 +89,6 @@ class EuclideanMetric:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def distance(self, p: int, q: int) -> float:
-        return math.dist(self.points[p].tolist(), self.points[q].tolist())
-
 
 @dataclass(frozen=True)
 class MatrixMetric:
@@ -107,32 +106,19 @@ class MatrixMetric:
     def n_nodes(self) -> int:
         return len(self.d)
 
-    def distance(self, p: int, q: int) -> float:
-        return float(self.d[p, q])
-
 
 Metric = EuclideanMetric | MatrixMetric
 
 
-def distance(metric: Metric, p: int, q: int) -> float:
-    """Distance between nodes p and q, with index checking.
-
-    Raises IndexError for out-of-range node indices.  Internal hot paths use
-    the unchecked ``metric.distance`` method instead.
-    """
-    n = metric.n_nodes
-    if not (0 <= p < n and 0 <= q < n):
-        raise IndexError(f"node index out of range: p={p}, q={q}, n_nodes={n}")
-    return metric.distance(p, q)
-
-
-@dataclass(frozen=True)
-class Link:
-    """A communication request from a sender node to a receiver node."""
-
-    id: int
-    sender: int
-    receiver: int
+def _node_array(values, name: str) -> np.ndarray:
+    """``values`` as a read-only 1-D index array; raises ValueError otherwise."""
+    try:
+        arr = _read_only(values, np.intp)
+    except OverflowError:  # an integer beyond the index range
+        raise ValueError(f"{name} must be node indices within the int64 range") from None
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array of node indices, got shape {arr.shape}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -201,41 +187,51 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class Instance:
-    """A metric, a set of links over its nodes, and the physical parameters."""
+    """A metric, the links over its nodes, and the physical parameters.
+
+    Link i runs from node ``senders[i]`` to node ``receivers[i]``; both are
+    read-only index arrays, and ``validate_instance`` checks their range.
+    """
 
     metric: Metric
-    links: tuple[Link, ...]
+    senders: np.ndarray
+    receivers: np.ndarray
     params: PhysicalParams
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "senders", _node_array(self.senders, "senders"))
+        object.__setattr__(self, "receivers", _node_array(self.receivers, "receivers"))
+        if len(self.senders) != len(self.receivers):
+            raise ValueError(
+                f"{len(self.senders)} senders but {len(self.receivers)} receivers"
+            )
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.metric == other.metric
+            and np.array_equal(self.senders, other.senders)
+            and np.array_equal(self.receivers, other.receivers)
+            and self.params == other.params
+        )
 
     @property
     def n(self) -> int:
-        return len(self.links)
+        return len(self.senders)
 
     @cached_property
     def lengths(self) -> np.ndarray:
         """Length of each link, as a read-only float array indexed by position."""
-        m = self.metric
-        return _read_only([m.distance(ln.sender, ln.receiver) for ln in self.links], np.float64)
-
-    def link_length(self, link_id: int) -> float:
-        return float(self.lengths[link_id])
-
-    @cached_property
-    def senders(self) -> np.ndarray:
-        """Sender node of each link, as a read-only index array."""
-        return _read_only([ln.sender for ln in self.links], np.intp)
-
-    @cached_property
-    def receivers(self) -> np.ndarray:
-        """Receiver node of each link, as a read-only index array."""
-        return _read_only([ln.receiver for ln in self.links], np.intp)
-
-    def asym_distance(self, w: int, v: int) -> float:
-        """Distance from the sender of link w to the receiver of link v."""
-        return self.metric.distance(self.links[w].sender, self.links[v].receiver)
-
-    def link_ids(self) -> frozenset[int]:
-        return frozenset(ln.id for ln in self.links)
+        if isinstance(self.metric, MatrixMetric):
+            return _read_only(self.metric.d[self.senders, self.receivers], np.float64)
+        points = self.metric.points.tolist()
+        return _read_only(
+            [
+                math.dist(points[p], points[q])
+                for p, q in zip(self.senders.tolist(), self.receivers.tolist())
+            ],
+            np.float64,
+        )
 
     def used_nodes(self) -> np.ndarray:
         """Sorted distinct node indices appearing as a sender or receiver."""
@@ -346,35 +342,30 @@ def validate_instance(inst: Instance, check_triangle: bool = True) -> list[Diagn
         out.extend(_check_matrix(metric, check_triangle))
 
     n_nodes = metric.n_nodes
-    # Schedules name links by id, while every algorithm indexes them by
-    # position, so the two must coincide.
-    ids = [ln.id for ln in inst.links]
-    if ids != list(range(len(ids))):
+    senders, receivers = inst.senders, inst.receivers
+    out_of_range = (
+        (senders < 0) | (senders >= n_nodes) | (receivers < 0) | (receivers >= n_nodes)
+    )
+    for i in np.flatnonzero(out_of_range).tolist():
         out.append(
             Diagnostic(
-                "error", "link-ids", "link ids must equal their positions: links[i].id == i"
+                "error",
+                "link-node-range",
+                f"link {i} references node out of range (sender={int(senders[i])}, "
+                f"receiver={int(receivers[i])}, n_nodes={n_nodes})",
             )
         )
-    index_ok = True
-    for ln in inst.links:
-        if not (0 <= ln.sender < n_nodes and 0 <= ln.receiver < n_nodes):
-            out.append(
-                Diagnostic(
-                    "error",
-                    "link-node-range",
-                    f"link {ln.id} references node out of range "
-                    f"(sender={ln.sender}, receiver={ln.receiver}, n_nodes={n_nodes})",
-                )
-            )
-            index_ok = False
     metric_ok = not any(
         d.severity == "error" and d.code.startswith(("matrix", "non-finite")) for d in out
     )
-    if index_ok and metric_ok:
-        for i in np.flatnonzero(inst.lengths <= 0.0).tolist():
-            out.append(
-                Diagnostic("error", "zero-length-link", f"link {inst.links[i].id} has length 0")
-            )
+    if not out_of_range.any() and metric_ok:
+        lengths = inst.lengths
+        for i in np.flatnonzero(lengths <= 0.0).tolist():
+            out.append(Diagnostic("error", "zero-length-link", f"link {i} has length 0"))
+        # Finite points can still lie farther apart than the float range.
+        for i in np.flatnonzero(lengths == np.inf).tolist():
+            message = f"link {i} has length inf, beyond the float range"
+            out.append(Diagnostic("error", "infinite-length-link", message))
 
     if params.c_l <= params.beta * params.noise:
         out.append(
@@ -409,7 +400,7 @@ def validate_instance(inst: Instance, check_triangle: bool = True) -> list[Diagn
 def check_partition(sched: Schedule, inst: Instance) -> list[str]:
     """Problems preventing ``sched`` from being a partition of the link set."""
     problems: list[str] = []
-    all_ids = inst.link_ids()
+    all_ids = frozenset(range(inst.n))
     seen: set[int] = set()
     for i, slot in enumerate(sched.slots):
         if not slot:
@@ -531,23 +522,26 @@ def load_instance(text: str) -> Instance:
     else:
         raise FormatError(f"unknown metric type {mtype!r}")
 
-    links = []
+    senders, receivers = [], []
     links_raw = _as_array(_require(doc, "links", "instance document"), "links")
     for i, lraw in enumerate(links_raw):
-        lraw = _as_object(lraw, f"links[{i}]")
-        _reject_unknown(lraw, {"id", "sender", "receiver"}, f"links[{i}]")
-        links.append(
-            Link(
-                id=_as_index(_require(lraw, "id", f"links[{i}]"), f"links[{i}].id"),
-                sender=_as_index(
-                    _require(lraw, "sender", f"links[{i}]"), f"links[{i}].sender"
-                ),
-                receiver=_as_index(
-                    _require(lraw, "receiver", f"links[{i}]"), f"links[{i}].receiver"
-                ),
+        where = f"links[{i}]"
+        lraw = _as_object(lraw, where)
+        _reject_unknown(lraw, {"id", "sender", "receiver"}, where)
+        # Schedules name links by id, while every algorithm indexes them by
+        # position, so the two must coincide.
+        link_id = _as_index(_require(lraw, "id", where), f"{where}.id")
+        if link_id != i:
+            raise FormatError(
+                f"field '{where}.id' is {link_id}, but link ids must equal their "
+                "positions (link-ids)"
             )
-        )
-    return Instance(metric=metric, links=tuple(links), params=params)
+        senders.append(_as_index(_require(lraw, "sender", where), f"{where}.sender"))
+        receivers.append(_as_index(_require(lraw, "receiver", where), f"{where}.receiver"))
+    try:
+        return Instance(metric=metric, senders=senders, receivers=receivers, params=params)
+    except ValueError as exc:
+        raise FormatError(f"invalid links: {exc}") from None
 
 
 def _as_object(obj, where: str) -> dict:
@@ -584,8 +578,8 @@ def save_instance(inst: Instance) -> str:
         },
         "metric": metric_doc,
         "links": [
-            {"id": ln.id, "sender": ln.sender, "receiver": ln.receiver}
-            for ln in inst.links
+            {"id": i, "sender": p, "receiver": q}
+            for i, (p, q) in enumerate(zip(inst.senders.tolist(), inst.receivers.tolist()))
         ],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -50,7 +50,12 @@ def compute_c(alpha: float, beta_eff: float, K: float, m: float) -> float:
     if not beta_eff > 0:
         raise ValueError(f"beta_eff must be > 0, got {beta_eff!r}")
     c0 = compute_c0(alpha, K, m)
-    return (beta_eff * (c0 + 1.0)) ** (1.0 / alpha) + 3.0
+    budget = beta_eff * (c0 + 1.0)
+    if not math.isfinite(budget):
+        raise ValueError(
+            f"beta_eff*(c0+1) overflows a float for beta_eff = {beta_eff!r}, c0 = {c0!r}"
+        )
+    return budget ** (1.0 / alpha) + 3.0
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,8 @@ class SchedulerConfig:
     c: float
 
     def __post_init__(self) -> None:
-        if not self.c > 1:
-            raise ValueError(f"separation constant c must be > 1, got {self.c!r}")
+        if not 1 < self.c < math.inf:
+            raise ValueError(f"separation constant c must be > 1 and finite, got {self.c!r}")
 
     @property
     def guarantees_separation(self) -> bool:

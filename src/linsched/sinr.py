@@ -140,7 +140,7 @@ def schedule_feasible(sched: Schedule, inst: Instance) -> FeasibilityReport:
     instance; otherwise the report carries the partition problems alone.
     """
     problems = check_partition(sched, inst)
-    known = inst.link_ids()
+    known = frozenset(range(inst.n))
     slots = sched.slots if all(slot <= known for slot in sched.slots) else ()
     results = tuple(slot_feasible(slot, inst) for slot in slots if slot)
     all_ok = all(r.feasible for r in results)

@@ -4,7 +4,7 @@ These are the loops the package used before every term moved to
 ``linsched.kernel``.  Tests compare the kernel-based code against them:
 verdicts, schedules and argmax nodes exactly, values at a tight relative
 tolerance (Euclidean distances here come from ``math.dist``, in the kernel
-from ``np.hypot``).
+from ``np.hypot``).  Distances are read one pair at a time by ``dist``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from linsched import Instance, Schedule, SchedulerConfig
+from linsched import EuclideanMetric, Instance, Schedule, SchedulerConfig
 from linsched.model import REL_TOL
 from linsched.scheduler import _processing_order
 
@@ -27,6 +27,23 @@ def rel_leq(x: float, y: float, rel: float = REL_TOL) -> bool:
     return diff <= rel * max(abs(x), abs(y))
 
 
+def dist(inst: Instance, p: int, q: int) -> float:
+    """Distance between nodes p and q as a Python float."""
+    metric = inst.metric
+    if isinstance(metric, EuclideanMetric):
+        return math.dist(metric.points[p].tolist(), metric.points[q].tolist())
+    return float(metric.d[p][q])
+
+
+def length(inst: Instance, w: int) -> float:
+    return dist(inst, int(inst.senders[w]), int(inst.receivers[w]))
+
+
+def asym_distance(inst: Instance, w: int, v: int) -> float:
+    """Distance from the sender of link w to the receiver of link v."""
+    return dist(inst, int(inst.senders[w]), int(inst.receivers[v]))
+
+
 def _ratio_pow(num: float, den: float, alpha: float) -> float:
     """(num/den)^alpha, saturating to +inf on zero denominator or overflow."""
     if den == 0.0:
@@ -38,7 +55,7 @@ def _ratio_pow(num: float, den: float, alpha: float) -> float:
 
 
 def affectance_term(w: int, v: int, inst: Instance) -> float:
-    return _ratio_pow(inst.link_length(w), inst.asym_distance(w, v), inst.params.alpha)
+    return _ratio_pow(length(inst, w), asym_distance(inst, w, v), inst.params.alpha)
 
 
 def affectance(v: int, members: Iterable[int], inst: Instance) -> float:
@@ -56,14 +73,14 @@ def raw_slot_feasible(members: list[int], inst: Instance) -> bool:
     p = inst.params
     ok = True
     for v in members:
-        d_vv = inst.link_length(v)
+        d_vv = length(inst, v)
         signal = _ratio_pow(d_vv, d_vv, p.alpha) * p.c_l  # c_l up to rounding
         received = []
         for w in members:
             if w == v:
                 continue
-            power_w = p.c_l * inst.link_length(w) ** p.alpha
-            den = inst.asym_distance(w, v) ** p.alpha
+            power_w = p.c_l * length(inst, w) ** p.alpha
+            den = asym_distance(inst, w, v) ** p.alpha
             received.append(math.inf if den == 0.0 else power_w / den)
         received.sort()
         rhs = p.beta * (sum(received) + p.noise)
@@ -92,15 +109,13 @@ def slot_feasible(members: Iterable[int], inst: Instance) -> tuple[bool, int, fl
 
 
 def interference_at(p: int, members: Iterable[int], inst: Instance) -> float:
-    metric = inst.metric
-    links = inst.links
     terms = []
     for w in members:
-        d = metric.distance(links[w].sender, p)
+        d = dist(inst, int(inst.senders[w]), p)
         if d == 0.0:
             terms.append(1.0)
         else:
-            terms.append(min(1.0, _ratio_pow(inst.link_length(w), d, inst.params.alpha)))
+            terms.append(min(1.0, _ratio_pow(length(inst, w), d, inst.params.alpha)))
     terms.sort()
     return sum(terms)
 
@@ -155,19 +170,17 @@ def separation_violations(
     """
     c = cfg.c
     out: list[tuple[int, int, str]] = []
-    metric = inst.metric
-    links = inst.links
     for slot in sched.slots:
         members = sorted(slot)
         for i, v in enumerate(members):
             for w in members[i + 1 :]:
-                d = max(inst.link_length(v), inst.link_length(w))
+                d = max(length(inst, v), length(inst, w))
                 guard = 1.0 - rel
-                if inst.asym_distance(v, w) < (c - 2.0) * d * guard:
+                if asym_distance(inst, v, w) < (c - 2.0) * d * guard:
                     out.append((v, w, "sender_v-receiver_w"))
-                if inst.asym_distance(w, v) < (c - 2.0) * d * guard:
+                if asym_distance(inst, w, v) < (c - 2.0) * d * guard:
                     out.append((v, w, "sender_w-receiver_v"))
-                ss = metric.distance(links[v].sender, links[w].sender)
+                ss = dist(inst, int(inst.senders[v]), int(inst.senders[w]))
                 if ss < (c - 3.0) * d * guard:
                     out.append((v, w, "sender_v-sender_w"))
     return out

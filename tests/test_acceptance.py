@@ -231,7 +231,7 @@ def test_criterion_9_padding_equivalence():
 
 def _scaled(inst: Instance, lam: float) -> Instance:
     pts = tuple(tuple(lam * x for x in p) for p in inst.metric.points)
-    return Instance(metric=EuclideanMetric(points=pts), links=inst.links, params=inst.params)
+    return Instance(EuclideanMetric(points=pts), inst.senders, inst.receivers, inst.params)
 
 
 def test_criterion_10_invariance_suite(tmp_path):

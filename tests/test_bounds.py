@@ -5,7 +5,6 @@ import pytest
 from linsched import (
     EuclideanMetric,
     Instance,
-    Link,
     PhysicalParams,
     Schedule,
     SchedulerConfig,
@@ -24,7 +23,8 @@ def line_instance(params):
     pts = ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0))
     return Instance(
         metric=EuclideanMetric(points=pts),
-        links=(Link(0, 0, 1),),
+        senders=[0],
+        receivers=[1],
         params=params,
     )
 
@@ -85,7 +85,10 @@ def test_measure_scale_invariant(params):
     for lam in (1e-3, 1e3):
         pts = tuple(tuple(lam * x for x in p) for p in base.metric.points)
         scaled = Instance(
-            metric=EuclideanMetric(points=pts), links=base.links, params=base.params
+            metric=EuclideanMetric(points=pts),
+            senders=base.senders,
+            receivers=base.receivers,
+            params=base.params,
         )
         i1, node1 = interference_measure(range(10), scaled)
         assert i1 == pytest.approx(i0, rel=1e-12)

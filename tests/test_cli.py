@@ -8,7 +8,6 @@ from linsched import (
     EuclideanMetric,
     Instance,
     InternalError,
-    Link,
     PhysicalParams,
     Schedule,
     cli,
@@ -215,6 +214,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert cli.run(["schedule", "--in", str(ragged), "--out", str(tmp_path / "s.json")]) == 2
     assert "metric.d[1]" in capsys.readouterr().err
+    # an infinite separation constant
+    inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+    assert cli.run(gen_args(inst, n=3)) == 0
+    assert cli.run(["schedule", "--in", str(inst), "--c", "4", "--out", str(sched)]) == 0
+    capsys.readouterr()
+    assert cli.run(["schedule", "--in", str(inst), "--c", "inf", "--out", str(sched)]) == 2
+    assert cli.run(["bound", "--in", str(inst), "--sched", str(sched), "--c", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("finite") == 2
 
 
 def test_spread_family_requires_separation(tmp_path, capsys):
@@ -247,6 +255,10 @@ def test_pipeline_byte_determinism(tmp_path, capsys):
 def test_constants_overflow_exit_2(capsys):
     assert cli.run(["constants", "--alpha", "1e6", "--beta", "2"]) == 2
     assert "overflow" in capsys.readouterr().err
+    # c0 is finite here, but beta*(c0 + 1) is not
+    assert cli.run(["constants", "--alpha", "3", "--beta", "1e306"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "overflow" in captured.err
 
 
 def test_non_finite_instance_exit_2(tmp_path, capsys):
@@ -271,12 +283,58 @@ def test_swapped_link_ids_exit_2(tmp_path, capsys):
     assert "link-ids" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sender", [-1, 2**70])
+def test_link_node_out_of_range_exit_2(tmp_path, capsys, sender):
+    inst = tmp_path / "inst.json"
+    assert cli.run(gen_args(inst, n=3)) == 0
+    doc = json.loads(inst.read_text())
+    doc["links"][1]["sender"] = sender
+    inst.write_text(json.dumps(doc))
+    code = cli.run(["schedule", "--in", str(inst), "--c", "auto", "--out", str(tmp_path / "s.json")])
+    assert code == 2
+    assert "node" in capsys.readouterr().err
+
+
+def _two_links_at(tmp_path, points):
+    path = tmp_path / "inst.json"
+    params = PhysicalParams(alpha=3.0, beta=2.0)
+    inst = Instance(EuclideanMetric(points=points), [0, 2], [1, 3], params)
+    path.write_text(save_instance(inst))
+    return path
+
+
+def test_infinite_link_length_exit_2(tmp_path, capsys):
+    # the endpoints of link 0 lie 2e308 apart, beyond the float range
+    inst = _two_links_at(tmp_path, ((-1e308, 0.0), (1e308, 0.0), (0.0, 5.0), (0.0, 6.0)))
+    sched = tmp_path / "sched.json"
+    sched.write_text(save_schedule(Schedule(slots=(frozenset({0, 1}),))))
+    for argv in (
+        ["schedule", "--in", str(inst), "--c", "auto", "--out", str(tmp_path / "s.json")],
+        ["verify", "--in", str(inst), "--sched", str(sched)],
+    ):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[infinite-length-link] link 0 has length inf" in captured.err
+
+
+def test_cross_distance_beyond_float_range_exit_0(tmp_path, capsys):
+    # unit links 2e308 apart: the cross distances are +inf and their terms 0
+    inst = _two_links_at(tmp_path, ((-1e308, 0.0), (-1e308, 1.0), (1e308, 0.0), (1e308, 1.0)))
+    code = cli.run(["schedule", "--in", str(inst), "--c", "4", "--out", str(tmp_path / "s.json")])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["schedule_length"] == 1
+    assert json.loads(captured.out)["feasible"] is True
+
+
 def test_verify_far_links_at_huge_alpha_exit_0(tmp_path, capsys):
     # len^alpha and d^alpha both overflow at alpha = 400; the raw-SINR
     # cross-check must still agree with the affectance form
     inst = Instance(
         EuclideanMetric(points=((0.0, 0.0), (10.0, 0.0), (1000.0, 0.0), (1010.0, 0.0))),
-        (Link(0, 0, 1), Link(1, 2, 3)),
+        [0, 2],
+        [1, 3],
         PhysicalParams(alpha=400.0, beta=2.0),
     )
     inst_path, sched_path = tmp_path / "inst.json", tmp_path / "sched.json"

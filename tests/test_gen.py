@@ -46,8 +46,7 @@ def test_lengths_within_requested_range(params):
     inst = random_euclidean(spec)
     for length in inst.lengths:
         assert 1.0 - 1e-12 <= length <= 2.0 + 1e-12
-    for ln in inst.links:
-        sx, sy = inst.metric.points[ln.sender]
+    for sx, sy in inst.metric.points[inst.senders]:
         assert 0.0 <= sx < 100.0 and 0.0 <= sy < 100.0
 
 

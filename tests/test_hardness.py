@@ -7,7 +7,6 @@ import pytest
 from linsched import (
     MatrixMetric,
     build_reduction,
-    distance,
     metric_complete,
     pad_partition,
     partition_solve,
@@ -78,25 +77,26 @@ def test_reduction_geometry():
 
     # end links short by exactly 3^(-1/alpha), middle links unit length
     end = 3.0 ** (-1.0 / 3.0)
-    assert inst.link_length(0) == pytest.approx(end, rel=1e-12)
-    assert inst.link_length(n + 1) == pytest.approx(end, rel=1e-12)
+    assert inst.lengths[0] == pytest.approx(end, rel=1e-12)
+    assert inst.lengths[n + 1] == pytest.approx(end, rel=1e-12)
     for i in range(1, n + 1):
-        assert inst.link_length(i) == pytest.approx(1.0, rel=1e-12)
+        assert inst.lengths[i] == pytest.approx(1.0, rel=1e-12)
 
     # the two end receivers coincide
     r0 = art.node_map["r0"]
     r_last = art.node_map[f"r{n + 1}"]
-    assert distance(inst.metric, r0, r_last) == 0.0
+    d = inst.metric.d
+    assert d[r0, r_last] == 0.0
 
     # sender-to-end-receiver distance for the link carrying value 3
     i = art.padded_b.index(3) + 1
     s_i = art.node_map[f"s{i}"]
     expected = (2.0 * 168 / (2.0 * 3)) ** (1.0 / 3.0)  # cube root of 56
-    assert distance(inst.metric, s_i, r0) == pytest.approx(expected, rel=1e-9)
+    assert d[s_i, r0] == pytest.approx(expected, rel=1e-9)
 
     # closure-derived distance: receiver i reaches r0 through its own sender
     r_i = art.node_map[f"r{i}"]
-    assert distance(inst.metric, r_i, r0) == pytest.approx(1.0 + expected, rel=1e-9)
+    assert d[r_i, r0] == pytest.approx(1.0 + expected, rel=1e-9)
 
     # the instance is structurally valid (closure yields a true pseudometric)
     errors = [d for d in validate_instance(inst) if d.severity == "error"]
@@ -165,10 +165,8 @@ def test_metric_complete_preserves_reduction_distances():
     for i in range(1, n + 1):
         d_i0 = (1.7 * total / (2.0 * art.padded_b[i - 1])) ** (1.0 / 2.5)
         s_i = art.node_map[f"s{i}"]
-        assert inst.metric.distance(s_i, art.node_map["r0"]) == pytest.approx(
-            d_i0, rel=1e-9
-        )
-        assert inst.metric.distance(art.node_map["s0"], art.node_map[f"r{i}"]) == (
+        assert inst.metric.d[s_i, art.node_map["r0"]] == pytest.approx(d_i0, rel=1e-9)
+        assert inst.metric.d[art.node_map["s0"], art.node_map[f"r{i}"]] == (
             pytest.approx(d_i0 + 1.0, rel=1e-9)
         )
 

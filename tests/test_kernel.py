@@ -16,7 +16,6 @@ from conftest import make_random_instance
 from linsched import (
     EuclideanMetric,
     Instance,
-    Link,
     MatrixMetric,
     PhysicalParams,
     SchedulerConfig,
@@ -39,9 +38,10 @@ def euclid3(seed: int, n: int = 14, box: float = 40.0) -> Instance:
     for _ in range(n):
         sender = [rng.uniform(0.0, box) for _ in range(3)]
         pts += [tuple(sender), tuple(x + rng.uniform(-1.5, 1.5) for x in sender)]
-    pts = tuple(pts)
-    links = tuple(Link(i, 2 * i, 2 * i + 1) for i in range(n))
-    return Instance(EuclideanMetric(points=pts), links, PhysicalParams(alpha=3.0, beta=2.0, m=3.0))
+    nodes = 2 * np.arange(n)
+    return Instance(
+        EuclideanMetric(points=pts), nodes, nodes + 1, PhysicalParams(alpha=3.0, beta=2.0, m=3.0)
+    )
 
 
 def line_pseudometric(seed: int, n: int = 12) -> Instance:
@@ -52,8 +52,8 @@ def line_pseudometric(seed: int, n: int = 12) -> Instance:
         s = int(rng.random() * 40)
         xs += [s, s + 1 + int(rng.random() * 2)]
     d = tuple(tuple(float(abs(a - b)) for b in xs) for a in xs)
-    links = tuple(Link(i, 2 * i, 2 * i + 1) for i in range(n))
-    return Instance(MatrixMetric(d=d), links, PhysicalParams(alpha=3.0, beta=2.0))
+    nodes = 2 * np.arange(n)
+    return Instance(MatrixMetric(d=d), nodes, nodes + 1, PhysicalParams(alpha=3.0, beta=2.0))
 
 
 INSTANCES = {

@@ -10,12 +10,11 @@ from linsched import (
     EuclideanMetric,
     FormatError,
     Instance,
-    Link,
     MatrixMetric,
     PhysicalParams,
     Schedule,
     check_partition,
-    distance,
+    kernel,
     load_instance,
     load_schedule,
     save_instance,
@@ -27,25 +26,31 @@ from linsched.gen import SplitMix64
 from conftest import make_random_instance
 
 
+def _pairs(metric, senders, receivers):
+    return Instance(metric, senders, receivers, PhysicalParams(alpha=3.0, beta=2.0))
+
+
 def test_euclidean_distance_pythagorean():
-    metric = EuclideanMetric(points=((0.0, 0.0), (3.0, 4.0)))
-    assert distance(metric, 0, 1) == 5.0
-    assert distance(metric, 1, 0) == 5.0
+    inst = _pairs(EuclideanMetric(points=((0.0, 0.0), (3.0, 4.0))), [0, 1], [1, 0])
+    assert inst.lengths.tolist() == [5.0, 5.0]
+    assert kernel.dist(inst, inst.senders, inst.receivers).tolist() == [[5.0, 0.0], [0.0, 5.0]]
 
 
 def test_distance_to_self_is_zero():
-    metric = EuclideanMetric(points=((1.5, -2.0), (3.0, 4.0)))
-    assert distance(metric, 0, 0) == 0.0
-    matrix = MatrixMetric(d=((0.0, 2.0), (2.0, 0.0)))
-    assert distance(matrix, 1, 1) == 0.0
+    inst = _pairs(EuclideanMetric(points=((1.5, -2.0), (3.0, 4.0))), [0], [0])
+    assert inst.lengths.tolist() == [0.0]
+    assert kernel.dist(inst, inst.senders, inst.receivers).tolist() == [[0.0]]
+    inst = _pairs(MatrixMetric(d=((0.0, 2.0), (2.0, 0.0))), [1, 0], [1, 1])
+    assert inst.lengths.tolist() == [0.0, 2.0]
+    assert kernel.dist(inst, inst.senders, inst.receivers).tolist() == [[0.0, 0.0], [2.0, 2.0]]
 
 
 def test_distance_index_out_of_range():
+    # links naming a node the metric lacks are caught by validation
     metric = EuclideanMetric(points=((0.0, 0.0),))
-    with pytest.raises(IndexError):
-        distance(metric, 0, 1)
-    with pytest.raises(IndexError):
-        distance(metric, -1, 0)
+    for senders, receivers in (([0], [1]), ([-1], [0])):
+        codes = [d.code for d in validate_instance(_pairs(metric, senders, receivers))]
+        assert codes == ["link-node-range"]
 
 
 def test_physical_params_rejects_bad_values():
@@ -79,7 +84,8 @@ def test_validate_singleton_infeasible_boundary():
     params = PhysicalParams(alpha=3.0, beta=2.0, noise=0.5, c_l=1.0)  # c_l = beta*noise
     inst = Instance(
         metric=EuclideanMetric(points=((0.0, 0.0), (1.0, 0.0))),
-        links=(Link(0, 0, 1),),
+        senders=[0],
+        receivers=[1],
         params=params,
     )
     errors = [d for d in validate_instance(inst) if d.severity == "error"]
@@ -94,7 +100,8 @@ def test_validate_triangle_violation_names_triple():
     )
     inst = Instance(
         metric=MatrixMetric(d=d),
-        links=(Link(0, 0, 1),),
+        senders=[0],
+        receivers=[1],
         params=PhysicalParams(alpha=3.0, beta=2.0),
     )
     errors = [x for x in validate_instance(inst) if x.severity == "error"]
@@ -107,7 +114,8 @@ def test_validate_triangle_violation_names_triple():
 def _matrix_diagnostics(d, check_triangle=True):
     inst = Instance(
         metric=MatrixMetric(d=d),
-        links=(Link(0, 0, 1),),
+        senders=[0],
+        receivers=[1],
         params=PhysicalParams(alpha=3.0, beta=2.0),
     )
     return validate_instance(inst, check_triangle=check_triangle)
@@ -155,7 +163,8 @@ def test_validate_matrix_diagnostics_exact():
 def test_validate_zero_length_link():
     inst = Instance(
         metric=MatrixMetric(d=((0.0, 0.0), (0.0, 0.0))),
-        links=(Link(0, 0, 1),),
+        senders=[0],
+        receivers=[1],
         params=PhysicalParams(alpha=3.0, beta=2.0),
     )
     errors = [x for x in validate_instance(inst) if x.severity == "error"]
@@ -170,7 +179,8 @@ def test_validate_pseudometric_zero_pair_is_warning_only():
     )
     inst = Instance(
         metric=MatrixMetric(d=d),
-        links=(Link(0, 0, 1),),
+        senders=[0],
+        receivers=[1],
         params=PhysicalParams(alpha=3.0, beta=2.0),
     )
     diags = validate_instance(inst)
@@ -181,28 +191,53 @@ def test_validate_pseudometric_zero_pair_is_warning_only():
 def test_validate_alpha_condition_warning():
     inst = Instance(
         metric=EuclideanMetric(points=((0.0, 0.0), (1.0, 0.0))),
-        links=(Link(0, 0, 1),),
+        senders=[0],
+        receivers=[1],
         params=PhysicalParams(alpha=1.5, beta=2.0, m=2.0),
     )
     diags = validate_instance(inst)
     assert any(x.code == "alpha-condition" and x.severity == "warning" for x in diags)
     assert [x for x in diags if x.severity == "error"] == []
     # m >= 2^53: m + 1.0 rounds to m, but m + 1 - ceil(m) is still 1
-    huge_m = Instance(inst.metric, inst.links, PhysicalParams(alpha=3.0, beta=2.0, m=1e17))
+    huge_m = Instance(
+        inst.metric, inst.senders, inst.receivers, PhysicalParams(alpha=3.0, beta=2.0, m=1e17)
+    )
     assert huge_m.params.alpha_condition_bound() == 1e17
     assert [x.code for x in validate_instance(huge_m)] == ["alpha-condition"]
 
 
 def test_validate_link_id_and_range_errors():
-    metric = EuclideanMetric(points=((0.0, 0.0), (1.0, 0.0)))
-    params = PhysicalParams(alpha=3.0, beta=2.0)
-    bad_ids = Instance(metric=metric, links=(Link(1, 0, 1),), params=params)
-    assert any(d.code == "link-ids" for d in validate_instance(bad_ids))
     # ids must be positional: schedules name links by id, algorithms by index
-    swapped = Instance(metric=metric, links=(Link(1, 0, 1), Link(0, 1, 0)), params=params)
-    assert any(d.code == "link-ids" for d in validate_instance(swapped))
-    bad_node = Instance(metric=metric, links=(Link(0, 0, 5),), params=params)
-    assert any(d.code == "link-node-range" for d in validate_instance(bad_node))
+    doc = json.loads(save_instance(make_random_instance(seed=1, n=2)))
+    for ids in ([1, 1], [1, 0], [0, 2]):
+        bad = json.loads(json.dumps(doc))
+        for link, link_id in zip(bad["links"], ids):
+            link["id"] = link_id
+        with pytest.raises(FormatError, match="link-ids"):
+            load_instance(json.dumps(bad))
+    metric = EuclideanMetric(points=((0.0, 0.0), (1.0, 0.0)))
+    bad_node = _pairs(metric, [0, 1, -1], [5, 0, 1])
+    message = "link {} references node out of range (sender={}, receiver={}, n_nodes=2)"
+    assert validate_instance(bad_node) == [
+        Diagnostic("error", "link-node-range", message.format(0, 0, 5)),
+        Diagnostic("error", "link-node-range", message.format(2, -1, 1)),
+    ]
+    # node indices beyond int64 cannot be stored
+    with pytest.raises(ValueError, match="int64"):
+        _pairs(metric, [2**70], [1])
+    doc["links"][1]["sender"] = 2**70
+    with pytest.raises(FormatError, match="senders must be node indices"):
+        load_instance(json.dumps(doc))
+    with pytest.raises(ValueError, match="2 senders but 1 receivers"):
+        _pairs(metric, [0, 1], [1])
+
+
+def test_validate_infinite_length_link():
+    # both points are finite, but 2e308 is beyond the float range
+    inst = _pairs(EuclideanMetric(points=((-1e308, 0.0), (1e308, 0.0))), [0], [1])
+    assert inst.lengths.tolist() == [math.inf]
+    message = "link 0 has length inf, beyond the float range"
+    assert validate_instance(inst) == [Diagnostic("error", "infinite-length-link", message)]
 
 
 def test_instance_round_trip():
@@ -222,7 +257,8 @@ def test_matrix_instance_round_trip():
     )
     inst = Instance(
         metric=MatrixMetric(d=d),
-        links=(Link(0, 0, 1), Link(1, 1, 2)),
+        senders=[0, 1],
+        receivers=[1, 2],
         params=PhysicalParams(alpha=2.5, beta=1.5, noise=0.01, c_l=2.0, K=1.0, m=2.0),
     )
     assert load_instance(save_instance(inst)) == inst
@@ -232,7 +268,8 @@ def test_round_trip_preserves_awkward_floats():
     pts = ((0.1 + 0.2, 1.0 / 3.0), (math.pi, math.e))
     inst = Instance(
         metric=EuclideanMetric(points=pts),
-        links=(Link(0, 0, 1),),
+        senders=[0],
+        receivers=[1],
         params=PhysicalParams(alpha=3.0, beta=2.0),
     )
     again = load_instance(save_instance(inst))
@@ -283,9 +320,8 @@ def test_load_rejects_non_finite_numbers():
 
 def test_validate_rejects_non_finite_metric():
     params = PhysicalParams(alpha=3.0, beta=2.0)
-    links = (Link(0, 0, 1),)
-    euclid = Instance(EuclideanMetric(points=((0.0, 0.0), (math.nan, 1.0))), links, params)
-    matrix = Instance(MatrixMetric(d=((0.0, math.inf), (math.inf, 0.0))), links, params)
+    euclid = Instance(EuclideanMetric(points=((0.0, 0.0), (math.nan, 1.0))), [0], [1], params)
+    matrix = Instance(MatrixMetric(d=((0.0, math.inf), (math.inf, 0.0))), [0], [1], params)
     for inst in (euclid, matrix):
         assert any(d.code == "non-finite" for d in validate_instance(inst))
 
@@ -337,7 +373,8 @@ def test_matrix_symmetry_and_triangle_property():
         )
         inst = Instance(
             metric=MatrixMetric(d=d),
-            links=(Link(0, 0, 1),),
+            senders=[0],
+            receivers=[1],
             params=PhysicalParams(alpha=3.0, beta=2.0),
         )
         errors = [x for x in validate_instance(inst) if x.severity == "error"]

@@ -6,7 +6,6 @@ import pytest
 
 from linsched import (
     Instance,
-    Link,
     MatrixMetric,
     PhysicalParams,
     SchedulerConfig,
@@ -111,7 +110,8 @@ def test_oracle_rejects_infeasible_singleton():
     params = PhysicalParams(alpha=3.0, beta=2.0, noise=1.0, c_l=1.0)
     inst = Instance(
         metric=MatrixMetric(d=((0.0, 1.0), (1.0, 0.0))),
-        links=(Link(0, 0, 1),),
+        senders=[0],
+        receivers=[1],
         params=params,
     )
     with pytest.raises(ValueError, match="singleton"):

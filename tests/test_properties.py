@@ -1,6 +1,7 @@
-"""Property tests: bit-exact JSON round trips, and CLI exit codes on fuzzed
-instance documents.  Hypothesis runs derandomized with few examples, so the
-suite stays deterministic and fast.
+"""Property tests: bit-exact JSON round trips, invariance under relabelling
+links, the subset table against slot feasibility, and CLI exit codes on
+fuzzed instance documents.  Hypothesis runs derandomized with few examples,
+so the suite stays deterministic and fast.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ from hypothesis import strategies as st
 from linsched import (
     EuclideanMetric,
     Instance,
-    Link,
     MatrixMetric,
     PhysicalParams,
     cli,
+    interference_measure,
     load_instance,
     save_instance,
+    slot_feasible,
+    subset_table,
 )
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -70,8 +73,9 @@ def instances(draw, matrix: bool) -> Instance:
         coords = st.lists(finite, min_size=dim, max_size=dim)
         metric = EuclideanMetric(points=draw(st.lists(coords, min_size=n_nodes, max_size=n_nodes)))
     node = st.integers(0, n_nodes - 1)
-    links = tuple(Link(i, draw(node), draw(node)) for i in range(draw(st.integers(0, 4))))
-    return Instance(metric=metric, links=links, params=draw(params))
+    pairs = [(draw(node), draw(node)) for _ in range(draw(st.integers(0, 4)))]
+    senders, receivers = [p for p, _ in pairs], [q for _, q in pairs]
+    return Instance(metric=metric, senders=senders, receivers=receivers, params=draw(params))
 
 
 def _bits(values) -> np.ndarray:
@@ -94,6 +98,64 @@ def test_instance_round_trip_is_bit_exact(inst):
     assert np.array_equal(_bits(old), _bits(new))
     assert np.array_equal(_bits(_param_values(inst.params)), _bits(_param_values(again.params)))
     assert save_instance(again) == text
+
+
+# ---------------------------------------------------------------------------
+# Valid instances on a small integer grid, where coincident nodes give +inf
+# terms.
+
+
+@st.composite
+def grid_instances(draw, max_links: int = 6) -> Instance:
+    n = draw(st.integers(1, max_links))
+    coord = st.integers(0, 8)
+    step = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda s: s != (0, 0))
+    points = []
+    for _ in range(n):
+        x, y = draw(coord), draw(coord)
+        dx, dy = draw(step)
+        points += [(x, y), (x + dx, y + dy)]
+    params = PhysicalParams(
+        alpha=draw(st.sampled_from((2.5, 3.0, 4.0))),
+        beta=draw(st.sampled_from((1.0, 1.5, 2.0))),
+        noise=draw(st.sampled_from((0.0, 0.01))),
+    )
+    nodes = 2 * np.arange(n)
+    return Instance(EuclideanMetric(points=points), nodes, nodes + 1, params)
+
+
+@FIXED
+@given(st.data())
+def test_relabelling_links_permutes_verdicts(data):
+    inst = data.draw(grid_instances())
+    perm = data.draw(st.permutations(range(inst.n)))  # new link j is old link perm[j]
+    relabelled = Instance(inst.metric, inst.senders[perm], inst.receivers[perm], inst.params)
+    new_id = {old: new for new, old in enumerate(perm)}
+    members = data.draw(st.sets(st.integers(0, inst.n - 1), min_size=1))
+    before = slot_feasible(members, inst)
+    after = slot_feasible({new_id[v] for v in members}, relabelled)
+    assert after.feasible == before.feasible
+    assert after.worst_margin == before.worst_margin
+    assert after.per_link_affectance == {
+        new_id[v]: a for v, a in before.per_link_affectance.items()
+    }
+    assert interference_measure(range(inst.n), relabelled) == interference_measure(
+        range(inst.n), inst
+    )
+
+
+@FIXED
+@given(st.data())
+def test_subset_table_downward_closed_and_matches_slots(data):
+    inst = data.draw(grid_instances(max_links=8))
+    feasible = subset_table(inst).feasible
+    masks = np.arange(len(feasible))
+    for v in range(inst.n):
+        with_v = masks[(masks >> v & 1) == 1]
+        assert not (feasible[with_v] & ~feasible[with_v ^ (1 << v)]).any()
+    for mask in data.draw(st.lists(st.integers(1, len(feasible) - 1), min_size=1, max_size=8)):
+        members = [v for v in range(inst.n) if mask >> v & 1]
+        assert feasible[mask] == slot_feasible(members, inst).feasible
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from linsched import (
@@ -43,11 +45,17 @@ def test_compute_c_threshold_values():
     # shrinking beta_eff drives c toward 3 from above
     assert compute_c(3.0, 1e-12, 1.0, 2.0) > 3.0
     assert compute_c(3.0, 1e-12, 1.0, 2.0) == pytest.approx(3.0, abs=1e-3)
+    # c0 = 648 is finite, but beta_eff * (c0 + 1) overflows
+    with pytest.raises(ValueError, match="overflow"):
+        compute_c(3.0, 1e306, 1.0, 2.0)
 
 
 def test_scheduler_config_validation():
     with pytest.raises(ValueError):
         SchedulerConfig(c=1.0)
+    for c in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            SchedulerConfig(c=c)
     cfg = SchedulerConfig(c=2.0)
     assert not cfg.guarantees_separation
     assert SchedulerConfig(c=9.0).guarantees_separation
@@ -164,6 +172,9 @@ def test_greedy_scale_invariance(params):
     for lam in (1e-3, 1e3):
         pts = tuple(tuple(lam * x for x in p) for p in base.metric.points)
         scaled = Instance(
-            metric=EuclideanMetric(points=pts), links=base.links, params=base.params
+            metric=EuclideanMetric(points=pts),
+            senders=base.senders,
+            receivers=base.receivers,
+            params=base.params,
         )
         assert greedy_schedule(scaled, cfg) == expected

@@ -9,7 +9,6 @@ from linsched import (
     EuclideanMetric,
     Instance,
     InternalError,
-    Link,
     MatrixMetric,
     PhysicalParams,
     Schedule,
@@ -23,7 +22,7 @@ from linsched import (
 from linsched.gen import SplitMix64
 
 from conftest import make_random_instance
-from reference import raw_slot_feasible
+from reference import asym_distance, length, raw_slot_feasible
 
 
 def unit_link_instance(cross: float, alpha: float = 3.0, beta: float = 2.0):
@@ -37,7 +36,8 @@ def unit_link_instance(cross: float, alpha: float = 3.0, beta: float = 2.0):
     d[0][3] = d[3][0] = cross
     inst = Instance(
         metric=MatrixMetric(d=tuple(tuple(r) for r in d)),
-        links=(Link(0, 0, 1), Link(1, 2, 3)),
+        senders=[0, 2],
+        receivers=[1, 3],
         params=PhysicalParams(alpha=alpha, beta=beta),
     )
     return inst
@@ -54,7 +54,8 @@ def test_affectance_term_zero_distance_saturates():
     # sits exactly on the receiver of the other.
     inst = Instance(
         metric=MatrixMetric(d=((0.0, 1.0), (1.0, 0.0))),
-        links=(Link(0, 0, 1), Link(1, 1, 0)),
+        senders=[0, 1],
+        receivers=[1, 0],
         params=PhysicalParams(alpha=3.0, beta=2.0),
     )
     assert affectance_term(0, 1, inst) == math.inf
@@ -79,7 +80,7 @@ def test_affectance_matches_independent_resummation():
     for v in range(5):
         # independent oracle: raw formula, unsorted fsum
         expected = math.fsum(
-            (inst.link_length(w) / inst.asym_distance(w, v)) ** alpha
+            (length(inst, w) / asym_distance(inst, w, v)) ** alpha
             for w in range(5)
             if w != v
         )
@@ -175,7 +176,8 @@ def test_scale_invariance_of_affectance_and_verdicts():
         )
         scaled = Instance(
             metric=EuclideanMetric(points=scaled_pts),
-            links=base.links,
+            senders=base.senders,
+            receivers=base.receivers,
             params=base.params,
         )
         for v in range(8):
@@ -227,7 +229,8 @@ def test_raw_form_survives_power_overflow():
     # and d^alpha overflow, yet each cross term is (10/1000)^400, which is 0
     inst = Instance(
         metric=EuclideanMetric(points=((0.0, 0.0), (10.0, 0.0), (1000.0, 0.0), (1010.0, 0.0))),
-        links=(Link(0, 0, 1), Link(1, 2, 3)),
+        senders=[0, 2],
+        receivers=[1, 3],
         params=PhysicalParams(alpha=400.0, beta=2.0),
     )
     res = slot_feasible([0, 1], inst)
