@@ -9,6 +9,7 @@ is always below c^alpha * I + 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -60,7 +61,7 @@ class BoundReport:
     schedule_length: int
     I_value: float
     argmax_node: int
-    upper_bound: float  # c^alpha * I + 1
+    upper_bound: float | None  # c^alpha * I + 1; None beyond the float range
     bound_holds: bool
     ratio_vs_exact: float | None = None
 
@@ -89,8 +90,12 @@ def bound_report(
             ratio_vs_exact=None,
         )
     i_value, argmax_node = interference_measure(range(inst.n), inst)
-    upper = cfg.c ** inst.params.alpha * i_value + 1.0
-    holds = sched.length < cfg.c ** inst.params.alpha * i_value * (1.0 + REL_TOL) + 1.0
+    try:
+        scaled = cfg.c ** inst.params.alpha * i_value  # inf once the product overflows
+    except OverflowError:  # c^alpha alone is beyond the float range
+        scaled = math.inf
+    upper = scaled + 1.0
+    holds = sched.length < scaled * (1.0 + REL_TOL) + 1.0
     ratio = None
     if exact_length is not None:
         if exact_length <= 0:
@@ -100,7 +105,7 @@ def bound_report(
         schedule_length=sched.length,
         I_value=i_value,
         argmax_node=argmax_node,
-        upper_bound=upper,
+        upper_bound=upper if math.isfinite(upper) else None,
         bound_holds=holds,
         ratio_vs_exact=ratio,
     )

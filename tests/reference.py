@@ -5,6 +5,8 @@ These are the loops the package used before every term moved to
 verdicts, schedules and argmax nodes exactly, values at a tight relative
 tolerance (Euclidean distances here come from ``math.dist``, in the kernel
 from ``np.hypot``).  Distances are read one pair at a time by ``dist``.
+``optimal_schedule_reference`` is the exact oracle's former O(3^n)
+submask dynamic program, over the package's own subset table.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from linsched import EuclideanMetric, Instance, Schedule, SchedulerConfig
+from linsched import EuclideanMetric, Instance, Schedule, SchedulerConfig, subset_table
 from linsched.model import REL_TOL
 from linsched.scheduler import _processing_order
 
@@ -184,3 +186,40 @@ def separation_violations(
                 if ss < (c - 3.0) * d * guard:
                     out.append((v, w, "sender_v-sender_w"))
     return out
+
+
+def optimal_schedule_reference(inst: Instance) -> Schedule:
+    """Minimum partition into feasible slots by the O(3^n) submask DP.
+
+    Every block contains the lowest unassigned link; among the best blocks
+    of a mask it keeps the numerically largest submask.
+    """
+    n = inst.n
+    if n == 0:
+        return Schedule(slots=())
+    feas = subset_table(inst, cap=n).feasible.tolist()
+    full = (1 << n) - 1
+    inf = n + 1
+    dp = [0] + [inf] * full
+    choice = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        best = inf
+        best_sub = 0
+        sub = mask
+        while sub:
+            if sub & low and feas[sub]:
+                cand = dp[mask ^ sub] + 1
+                if cand < best:
+                    best = cand
+                    best_sub = sub
+            sub = (sub - 1) & mask
+        dp[mask] = best
+        choice[mask] = best_sub
+    slots = []
+    mask = full
+    while mask:
+        sub = choice[mask]
+        slots.append(frozenset(v for v in range(n) if sub >> v & 1))
+        mask ^= sub
+    return Schedule(slots=tuple(slots))

@@ -134,11 +134,67 @@ def test_exact_and_decide2(tmp_path, capsys):
     assert json.loads(out)["two_slot_schedulable"] is False
 
 
+@pytest.mark.parametrize("box", ["12", "30"])  # three slots and two
+def test_exact_and_decide2_at_hard_cap(tmp_path, capsys, box):
+    inst, opt, greedy = tmp_path / "inst.json", tmp_path / "opt.json", tmp_path / "greedy.json"
+    assert cli.run(gen_args(inst, n=20, extra=("--box", box))) == 0
+    code, out = run_ok(capsys, ["exact", "--in", str(inst), "--cap", "20", "--out", str(opt)])
+    assert code == 0
+    optimal = json.loads(out)["optimal_length"]
+    assert optimal == load_schedule(opt.read_text()).length
+    assert cli.run(["verify", "--in", str(inst), "--sched", str(opt)]) == 0
+    assert cli.run(["schedule", "--in", str(inst), "--c", "auto", "--out", str(greedy)]) == 0
+    capsys.readouterr()
+    assert optimal <= load_schedule(greedy.read_text()).length
+    code, out = run_ok(capsys, ["decide2", "--in", str(inst), "--cap", "20"])
+    assert json.loads(out)["two_slot_schedulable"] is (optimal <= 2)
+    assert code == (0 if optimal <= 2 else 1)
+
+
 def test_exact_respects_cap(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     assert cli.run(gen_args(inst, n=18)) == 0
     code = cli.run(["exact", "--in", str(inst), "--out", str(tmp_path / "x.json")])
     assert code == 2  # default cap 16
+
+
+def _strict_json(text: str) -> dict:
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_bound_beyond_float_range_manual_c(tmp_path, capsys):
+    # c^alpha = 1e900 is beyond the float range: no bound to print, but it holds
+    inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+    assert cli.run(gen_args(inst, n=5)) == 0
+    code, out = run_ok(capsys, ["schedule", "--in", str(inst), "--c", "1e300", "--out", str(sched)])
+    assert code == 0
+    report = _strict_json(out)
+    assert report["upper_bound"] is None and report["bound_holds"] is True
+    assert report["feasible"] is True
+    code, out = run_ok(capsys, ["bound", "--in", str(inst), "--sched", str(sched), "--c", "1e300"])
+    assert code == 0
+    report = _strict_json(out)
+    assert report["upper_bound"] is None and report["bound_holds"] is True
+
+
+@pytest.mark.parametrize("alpha", ["330", "350", "380"])
+def test_bound_beyond_float_range_auto_c(tmp_path, capsys, alpha):
+    # auto c is about 9, and 9^alpha overflows for these alpha
+    inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+    assert cli.run([
+        "gen", "--family", "random-euclidean", "--n", "5", "--seed", "1",
+        "--alpha", alpha, "--beta", "2", "--out", str(inst),
+    ]) == 0
+    code, out = run_ok(capsys, ["schedule", "--in", str(inst), "--c", "auto", "--out", str(sched)])
+    assert code == 0
+    report = _strict_json(out)
+    assert report["upper_bound"] is None and report["bound_holds"] is True
+    code, out = run_ok(capsys, ["bound", "--in", str(inst), "--sched", str(sched)])
+    assert code == 0
+    assert _strict_json(out)["upper_bound"] is None
 
 
 def test_reduce_emits_instance_and_sidecar(tmp_path, capsys):

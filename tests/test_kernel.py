@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 import reference as ref
-from conftest import make_random_instance
+from conftest import line_pseudometric, make_random_instance
 from linsched import (
     EuclideanMetric,
     Instance,
-    MatrixMetric,
     PhysicalParams,
     SchedulerConfig,
     affectance,
@@ -42,18 +41,6 @@ def euclid3(seed: int, n: int = 14, box: float = 40.0) -> Instance:
     return Instance(
         EuclideanMetric(points=pts), nodes, nodes + 1, PhysicalParams(alpha=3.0, beta=2.0, m=3.0)
     )
-
-
-def line_pseudometric(seed: int, n: int = 12) -> Instance:
-    """Nodes on an integer line, many sharing a position: zero cross distances."""
-    rng = SplitMix64(seed)
-    xs = []
-    for _ in range(n):
-        s = int(rng.random() * 40)
-        xs += [s, s + 1 + int(rng.random() * 2)]
-    d = tuple(tuple(float(abs(a - b)) for b in xs) for a in xs)
-    nodes = 2 * np.arange(n)
-    return Instance(MatrixMetric(d=d), nodes, nodes + 1, PhysicalParams(alpha=3.0, beta=2.0))
 
 
 INSTANCES = {

@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from linsched import (
     Instance,
+    InternalError,
     MatrixMetric,
     PhysicalParams,
     SchedulerConfig,
     collocated,
     greedy_schedule,
     optimal_schedule,
+    oracle,
     partition_solve,
     schedule_feasible,
     slot_feasible,
@@ -21,7 +24,8 @@ from linsched import (
 )
 from linsched.gen import SplitMix64
 
-from conftest import make_random_instance
+from conftest import line_pseudometric, make_random_instance
+from reference import optimal_schedule_reference
 
 
 def test_single_link_needs_one_slot(params):
@@ -51,6 +55,36 @@ def test_optimal_never_beaten_by_greedy(params):
         assert 1 <= opt.length <= greedy.length
         rep = schedule_feasible(opt, inst)
         assert rep.feasible, f"seed {seed}: oracle produced an infeasible schedule"
+
+
+PARAMS = PhysicalParams(alpha=3.0, beta=2.0)
+PARITY_INSTANCES = {
+    **{
+        f"euclid-box{box:g}-n{n}": make_random_instance(seed=n, n=n, box=box)
+        for box in (3.0, 6.0, 12.0, 30.0)
+        for n in (7, 10, 12)
+    },
+    **{f"collocated-{k}": collocated(k, PARAMS) for k in (1, 4, 9)},
+    **{f"spread-{k}-sep{sep:g}": spread(k, sep, PARAMS) for k in (5, 11) for sep in (1.0, 2.0)},
+    **{f"pseudometric-{seed}": line_pseudometric(seed, n=10) for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", list(PARITY_INSTANCES))
+def test_optimal_schedule_matches_reference_dp(name):
+    inst = PARITY_INSTANCES[name]
+    assert optimal_schedule(inst).slots == optimal_schedule_reference(inst).slots
+
+
+def test_optimal_schedule_rejects_non_downward_closed_table(monkeypatch):
+    # {0,1,2,3} and {2,3,4,5} cover six links, but neither leaves a feasible
+    # rest, so the cover count 2 has no partition witness
+    n = 6
+    feasible = np.zeros(1 << n, dtype=bool)
+    feasible[[0, 0b001111, 0b111100] + [1 << v for v in range(n)]] = True
+    monkeypatch.setattr(oracle, "subset_table", lambda inst, cap: oracle.SubsetTable(n, feasible))
+    with pytest.raises(InternalError, match="downward closed"):
+        optimal_schedule(collocated(n, PARAMS))
 
 
 def test_subset_table_matches_slot_feasible(params):
