@@ -20,21 +20,6 @@ from .model import REL_TOL, Instance, Schedule, check_partition
 from .scheduler import SchedulerConfig
 
 
-def _capped_sums(W: np.ndarray, X: np.ndarray, inst: Instance) -> np.ndarray:
-    """Interference of the senders of W at each node of X, terms capped at 1."""
-    t = kernel.terms(inst, W, X)
-    return kernel.ascending_sums(np.minimum(t, 1.0, out=t))
-
-
-def interference_at(p: int, members: Iterable[int], inst: Instance) -> float:
-    """Capped relative interference of the given links' senders at node p.
-
-    Every summand lies in [0, 1]; a sender located at p contributes exactly 1.
-    """
-    W = np.fromiter(members, dtype=np.intp)
-    return float(_capped_sums(W, np.array([p], dtype=np.intp), inst)[0])
-
-
 def interference_measure(members: Iterable[int], inst: Instance) -> tuple[float, int]:
     """Maximum interference over all sender and receiver nodes.
 
@@ -49,7 +34,8 @@ def interference_measure(members: Iterable[int], inst: Instance) -> tuple[float,
     nodes = inst.used_nodes()
     values = np.empty(len(nodes))
     for cols in kernel.blocks(len(nodes), len(W)):
-        values[cols] = _capped_sums(W, nodes[cols], inst)
+        t = kernel.terms(inst, W, nodes[cols])
+        values[cols] = kernel.ascending_sums(np.minimum(t, 1.0, out=t))  # terms capped at 1
     best = int(np.argmax(values))  # first maximum: the smallest node index
     return float(values[best]), int(nodes[best])
 
@@ -63,19 +49,12 @@ class BoundReport:
     argmax_node: int
     upper_bound: float | None  # c^alpha * I + 1; None beyond the float range
     bound_holds: bool
-    ratio_vs_exact: float | None = None
 
 
-def bound_report(
-    inst: Instance,
-    sched: Schedule,
-    cfg: SchedulerConfig,
-    exact_length: int | None = None,
-) -> BoundReport:
+def bound_report(inst: Instance, sched: Schedule, cfg: SchedulerConfig) -> BoundReport:
     """Build the counting-bound report for a valid schedule.
 
-    ``exact_length``, when supplied from the exact oracle, fills in the
-    achieved approximation ratio.  Raises ValueError on non-partitions.
+    Raises ValueError on non-partitions.
     """
     problems = check_partition(sched, inst)
     if problems:
@@ -87,7 +66,6 @@ def bound_report(
             argmax_node=-1,
             upper_bound=1.0,
             bound_holds=True,
-            ratio_vs_exact=None,
         )
     i_value, argmax_node = interference_measure(range(inst.n), inst)
     try:
@@ -96,16 +74,10 @@ def bound_report(
         scaled = math.inf
     upper = scaled + 1.0
     holds = sched.length < scaled * (1.0 + REL_TOL) + 1.0
-    ratio = None
-    if exact_length is not None:
-        if exact_length <= 0:
-            raise ValueError(f"exact_length must be positive, got {exact_length}")
-        ratio = sched.length / exact_length
     return BoundReport(
         schedule_length=sched.length,
         I_value=i_value,
         argmax_node=argmax_node,
         upper_bound=upper if math.isfinite(upper) else None,
         bound_holds=holds,
-        ratio_vs_exact=ratio,
     )

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from . import bounds, gen, hardness, oracle, scheduler, sinr
@@ -39,13 +40,24 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _warn(diags) -> None:
+    """One stderr line per warning code: its message, or its count and first few."""
+    messages: dict[str, list[str]] = {}
+    for d in diags:
+        if d.severity == "warning":
+            messages.setdefault(d.code, []).append(d.message)
+    for code, texts in messages.items():
+        first = texts[:3]
+        if len(texts) > 1:
+            first = [f"{len(texts)} warnings, the first {len(first)}: " + "; ".join(first)]
+        print(f"warning [{code}]: {first[0]}", file=sys.stderr)
+
+
 def _load_checked_instance(path: str, check_triangle: bool) -> Instance:
     inst = load_instance(_read(path))
     diags = validate_instance(inst, check_triangle=check_triangle)
     errors = [d for d in diags if d.severity == "error"]
-    for d in diags:
-        if d.severity == "warning":
-            print(f"warning [{d.code}]: {d.message}", file=sys.stderr)
+    _warn(diags)
     if errors:
         raise FormatError(
             f"instance {path} is invalid: "
@@ -65,12 +77,12 @@ def _parse_c(text: str, inst: Instance) -> tuple[scheduler.SchedulerConfig, bool
     return scheduler.SchedulerConfig(c=value), False
 
 
+def _params(args: argparse.Namespace) -> PhysicalParams:
+    return PhysicalParams(**{f.name: getattr(args, f.name) for f in fields(PhysicalParams)})
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    params_kwargs = dict(
-        alpha=args.alpha, beta=args.beta, noise=args.noise, c_l=args.cl,
-        K=args.K, m=args.m,
-    )
-    params = gen.PhysicalParams(**params_kwargs)
+    params = _params(args)
     if args.family == "random-euclidean":
         spec = gen.GenSpec(
             n=args.n, params=params, box=args.box, lmin=args.lmin,
@@ -79,12 +91,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         inst = gen.random_euclidean(spec)
     elif args.family == "collocated":
         inst = gen.collocated(args.n, params)
-    elif args.family == "spread":
+    else:  # spread; argparse allows no other family
         if args.separation is None:
             raise FormatError("--separation is required for the spread family")
         inst = gen.spread(args.n, args.separation, params)
-    else:  # pragma: no cover - argparse restricts choices
-        raise FormatError(f"unknown family {args.family!r}")
     _write(args.out, save_instance(inst))
     return 0
 
@@ -94,24 +104,11 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     cfg, auto = _parse_c(args.c, inst)
     sched = scheduler.greedy_schedule(inst, cfg)
     _write(args.out, save_schedule(sched))
-    report = bounds.bound_report(inst, sched, cfg)
-    feasible: bool | None = None
-    if not auto:
-        feasible = sinr.schedule_feasible(sched, inst).feasible
-    _emit(
-        {
-            "c": cfg.c,
-            "c_mode": "auto" if auto else "manual",
-            "schedule_length": report.schedule_length,
-            "I_value": report.I_value,
-            "upper_bound": report.upper_bound,
-            "bound_holds": report.bound_holds,
-            "feasible": feasible,
-        }
-    )
-    if feasible is False:
-        return 1
-    return 0
+    report = asdict(bounds.bound_report(inst, sched, cfg))
+    del report["argmax_node"]
+    feasible = None if auto else sinr.schedule_feasible(sched, inst).feasible
+    _emit({"c": cfg.c, "c_mode": "auto" if auto else "manual", **report, "feasible": feasible})
+    return 1 if feasible is False else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -123,14 +120,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "verdict": report.verdict,
             "partition_problems": list(report.partition_problems),
             "first_infeasible_slot": report.first_infeasible_slot(),
-            "slots": [
-                {
-                    "feasible": r.feasible,
-                    "worst_link": r.worst_link,
-                    "worst_margin": r.worst_margin,
-                }
-                for r in report.slot_results
-            ],
+            "slots": [asdict(r) for r in report.slot_results],
         }
     )
     return 0 if report.feasible else 1
@@ -141,16 +131,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     sched = load_schedule(_read(args.sched))
     cfg, _ = _parse_c(args.c, inst)
     report = bounds.bound_report(inst, sched, cfg)
-    _emit(
-        {
-            "c": cfg.c,
-            "schedule_length": report.schedule_length,
-            "I_value": report.I_value,
-            "argmax_node": report.argmax_node,
-            "upper_bound": report.upper_bound,
-            "bound_holds": report.bound_holds,
-        }
-    )
+    _emit({"c": cfg.c, **asdict(report)})
     return 0 if report.bound_holds else 1
 
 
@@ -178,28 +159,36 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         ) from None
     art = hardness.build_reduction(values, alpha=args.alpha, beta=args.beta)
     _write(args.out, save_instance(art.instance))
-    report = hardness.verify_reduction(art, cap=args.cap)
+    report = asdict(hardness.verify_reduction(art, cap=args.cap))
     sidecar = {
         "A": list(art.original_a),
         "B": list(art.padded_b),
         "S_of_B": art.sum_b,
         "node_map": art.node_map,
-        "report": report.to_dict(),
+        "report": report,
     }
     sidecar_path = Path(args.out).with_suffix(".verify.json")
     _write(str(sidecar_path), json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
-    _emit(report.to_dict())
+    _emit(report)
     return 0
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    params = PhysicalParams(
-        alpha=args.alpha, beta=args.beta, noise=args.noise, c_l=args.cl, K=args.K, m=args.m
-    )
+    params = _params(args)
     c0 = scheduler.compute_c0(params.alpha, params.K, params.m)
     c = scheduler.compute_c(params.alpha, params.effective_beta(), params.K, params.m)
     _emit({"c0": c0, "c": c})
     return 0
+
+
+def _add_param_args(p: argparse.ArgumentParser) -> None:
+    """One option per PhysicalParams field; c_l is spelled --cl."""
+    for f in fields(PhysicalParams):
+        kw = {"required": True} if f.default is MISSING else {"default": f.default}
+        if f.name == "c_l":
+            p.add_argument("--cl", dest="c_l", type=float, help="linear power coefficient", **kw)
+        else:
+            p.add_argument(f"--{f.name}", type=float, **kw)
 
 
 def _add_instance_arg(p: argparse.ArgumentParser) -> None:
@@ -226,12 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True, help="number of links")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--cl", type=float, default=1.0, help="linear power coefficient")
-    p.add_argument("--K", type=float, default=1.0)
-    p.add_argument("--m", type=float, default=2.0)
+    _add_param_args(p)
     p.add_argument("--box", type=float, default=100.0)
     p.add_argument("--lmin", type=float, default=1.0)
     p.add_argument("--lmax", type=float, default=2.0)
@@ -276,12 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("constants", help="closed-form scheduler constants")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--K", type=float, default=1.0)
-    p.add_argument("--m", type=float, default=2.0)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--cl", type=float, default=1.0)
+    _add_param_args(p)
     p.set_defaults(func=_cmd_constants)
 
     return parser

@@ -64,6 +64,12 @@ class GenSpec:
             raise ValueError("lmax must not exceed the box side")
 
 
+def _link_pairs(points: list[tuple[float, ...]], params: PhysicalParams) -> Instance:
+    """Links over Euclidean points: nodes 2i and 2i+1 are the sender and receiver of link i."""
+    nodes = 2 * np.arange(len(points) // 2)
+    return Instance(EuclideanMetric(points=points), nodes, nodes + 1, params)
+
+
 def random_euclidean(spec: GenSpec) -> Instance:
     """Uniform senders in a square box, receivers at random heading/length.
 
@@ -79,13 +85,7 @@ def random_euclidean(spec: GenSpec) -> Instance:
         length = rng.uniform(spec.lmin, spec.lmax)
         points.append((sx, sy))
         points.append((sx + length * math.cos(angle), sy + length * math.sin(angle)))
-    nodes = 2 * np.arange(spec.n)
-    return Instance(
-        metric=EuclideanMetric(points=points),
-        senders=nodes,
-        receivers=nodes + 1,
-        params=spec.params,
-    )
+    return _link_pairs(points, spec.params)
 
 
 def collocated(k: int, params: PhysicalParams) -> Instance:
@@ -121,7 +121,4 @@ def spread(k: int, separation: float, params: PhysicalParams) -> Instance:
         x = i * separation
         points.append((x,))
         points.append((x + 1.0,))
-    nodes = 2 * np.arange(k)
-    return Instance(
-        metric=EuclideanMetric(points=points), senders=nodes, receivers=nodes + 1, params=params
-    )
+    return _link_pairs(points, params)

@@ -16,13 +16,15 @@ closure does not shorten any forced distance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, MatrixMetric, PhysicalParams, rel_close
+from . import kernel
+from .model import REL_TOL, Instance, MatrixMetric, PhysicalParams
 from .oracle import DEFAULT_CAP, partition_solve, two_slot_decision
-from .sinr import affectance, affectance_term, slot_feasible
+from .sinr import slot_feasible
 
 _INT64_MAX = 2**63 - 1
 
@@ -89,7 +91,7 @@ def metric_complete(specified: list[tuple[int, int, float]], n_nodes: int) -> np
             f"nodes {p} and {q} are not connected by any specified distances"
         )
     for (p, q), value in seen.items():
-        if not rel_close(d[p, q], value):
+        if not math.isclose(d[p, q], value, rel_tol=REL_TOL):
             raise ValueError(
                 f"completion shortens specified d({p},{q}) from {value!r} "
                 f"to {float(d[p, q])!r}; the specified distances violate the "
@@ -119,10 +121,7 @@ def build_reduction(a: list[int], alpha: float, beta: float) -> ReductionArtifac
     Needs alpha > 1 and beta > 0.  The instance has 2n+4 nodes and n+2
     links, a matrix (pseudo)metric, zero noise, unit power coefficient.
     """
-    if not alpha > 1:
-        raise ValueError(f"alpha must be > 1, got {alpha!r}")
-    if not beta > 0:
-        raise ValueError(f"beta must be > 0, got {beta!r}")
+    params = PhysicalParams(alpha=alpha, beta=beta, noise=0.0, c_l=1.0, K=1.0, m=2.0)
     b = pad_partition(a)
     n = len(b)
     total = sum(b)
@@ -155,10 +154,14 @@ def build_reduction(a: list[int], alpha: float, beta: float) -> ReductionArtifac
         for j in range(1, n + 1):
             if i != j:
                 specified.append((s(i), r(j), 1.0 + d_to_end[i] + d_to_end[j]))
+    if not all(math.isfinite(value) for _, _, value in specified):
+        raise ValueError(
+            f"beta*sum(B) = {beta * total!r} is too large: the sender-to-end-receiver "
+            "distances tuned from it overflow the float range"
+        )
 
     matrix = metric_complete(specified, n_nodes)
     ids = np.arange(n + 2)
-    params = PhysicalParams(alpha=alpha, beta=beta, noise=0.0, c_l=1.0, K=1.0, m=2.0)
     instance = Instance(
         metric=MatrixMetric(d=matrix), senders=s(ids), receivers=r(ids), params=params
     )
@@ -193,20 +196,6 @@ class ReductionReport:
     oracle_skipped: bool
     notes: str
 
-    def to_dict(self) -> dict:
-        return {
-            "affectance_on_end_links": list(self.affectance_on_end_links),
-            "expected_end_affectance": self.expected_end_affectance,
-            "identity_ok": self.identity_ok,
-            "mutual_end_term": self.mutual_end_term,
-            "middle_slot_feasible": self.middle_slot_feasible,
-            "two_slot_schedulable": self.two_slot_schedulable,
-            "partition_solvable": self.partition_solvable,
-            "equivalence_ok": self.equivalence_ok,
-            "oracle_skipped": self.oracle_skipped,
-            "notes": self.notes,
-        }
-
 
 def verify_reduction(art: ReductionArtifact, cap: int = DEFAULT_CAP) -> ReductionReport:
     """Measure the invariants the construction is supposed to deliver.
@@ -219,12 +208,12 @@ def verify_reduction(art: ReductionArtifact, cap: int = DEFAULT_CAP) -> Reductio
     inst = art.instance
     n = len(art.padded_b)
     middle = list(range(1, n + 1))
-    end_ids = (0, n + 1)
     expected = 2.0 / inst.params.beta
-    a_first = affectance(end_ids[0], middle, inst)
-    a_last = affectance(end_ids[1], middle, inst)
-    identity_ok = rel_close(a_first, expected) and rel_close(a_last, expected)
-    mutual = affectance_term(end_ids[0], end_ids[1], inst)
+    # Terms of every link on the two end links, 0 and n+1.
+    t = kernel.terms(inst, np.arange(n + 2), inst.receivers[[0, n + 1]])
+    a_first, a_last = kernel.ascending_sums(t[1 : n + 1]).tolist()
+    identity_ok = all(math.isclose(a, expected, rel_tol=REL_TOL) for a in (a_first, a_last))
+    mutual = float(t[0, 1])
     middle_ok = slot_feasible(middle, inst).feasible
 
     notes = []

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -48,15 +48,6 @@ def _read_only(values, dtype) -> np.ndarray:
 def _fraction_gap(m: float) -> float:
     """m + 1 - ceil(m), computed exactly; m + 1.0 rounds to m for m >= 2^53."""
     return 1.0 - (math.ceil(m) - m)
-
-
-def rel_close(x: float, y: float, rel: float = REL_TOL) -> bool:
-    if x == y:
-        return True
-    diff = abs(x - y)
-    if math.isinf(diff):
-        return False
-    return diff <= rel * max(abs(x), abs(y))
 
 
 def _float_matrix(values, name: str) -> np.ndarray:
@@ -131,32 +122,28 @@ class PhysicalParams:
     c_l:   linear-power coefficient; sender power is c_l * length^alpha
     K, m:  ball-measure growth constants of the underlying space
            ((1, k) for Euclidean k-space)
+
+    Each field's metadata holds its lower bound, strict (">") or not (">=").
     """
 
-    alpha: float
-    beta: float
-    noise: float = 0.0
-    c_l: float = 1.0
-    K: float = 1.0
-    m: float = 2.0
+    alpha: float = field(metadata={"op": ">", "bound": 1})
+    beta: float = field(metadata={"op": ">", "bound": 0})
+    noise: float = field(default=0.0, metadata={"op": ">=", "bound": 0})
+    c_l: float = field(default=1.0, metadata={"op": ">", "bound": 0})
+    K: float = field(default=1.0, metadata={"op": ">=", "bound": 1})
+    m: float = field(default=2.0, metadata={"op": ">=", "bound": 1})
 
     def __post_init__(self) -> None:
-        # Checked first: NaN compares false, so it would pass `noise < 0`, `K < 1`, `m < 1`.
-        for name in ("alpha", "beta", "noise", "c_l", "K", "m"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.alpha > 1:
-            raise ValueError(f"alpha must be > 1, got {self.alpha}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.noise < 0:
-            raise ValueError(f"noise must be >= 0, got {self.noise}")
-        if not self.c_l > 0:
-            raise ValueError(f"c_l must be > 0, got {self.c_l}")
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        # Every value is checked for finiteness first: NaN fails both bound
+        # comparisons, but the message should say that it is not finite.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        for f in fields(self):
+            value, op, bound = getattr(self, f.name), f.metadata["op"], f.metadata["bound"]
+            if not (value > bound if op == ">" else value >= bound):
+                raise ValueError(f"{f.name} must be {op} {bound}, got {value}")
 
     def affectance_threshold(self) -> float:
         """Right side of the additive SINR condition: 1/beta - noise/c_l.
@@ -423,141 +410,147 @@ def check_partition(sched: Schedule, inst: Instance) -> list[str]:
 # so load(save(x)) reproduces every finite value bit-exactly.
 
 
-def _require(obj: dict, key: str, where: str):
+_KINDS = {dict: "a JSON object", list: "a JSON array", int: "an integer", float: "a number"}
+
+
+def _checked(value, kind: type, name: str):
+    """``value`` if it is a ``kind`` (dict, list, int or float); FormatError otherwise.
+
+    A float is any finite JSON number, returned as a Python float.  Booleans
+    are neither numbers nor integers.
+    """
+    if kind is float and type(value) is float and math.isfinite(value):
+        return value  # the common case
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        got = "" if kind is dict or kind is list else f", got {value!r}"
+        raise FormatError(f"field '{name}' must be {_KINDS[kind]}{got}")
+    if kind is not float:
+        return value
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise FormatError(f"field '{name}' must be a finite number, got {value!r}")
+    return number
+
+
+def _field(obj: dict, key: str, where: str, kind: type | None, name: str | None = None):
+    """``obj[key]``, checked by ``_checked`` as ``name`` (default ``where.key``).
+
+    ``where`` names ``obj`` for a missing key; ``kind=None`` takes any value.
+    """
     if key not in obj:
         raise FormatError(f"missing field '{key}' in {where}")
-    return obj[key]
+    if kind is None:
+        return obj[key]
+    return _checked(obj[key], kind, name or f"{where}.{key}")
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
+def _reject_unknown(obj: dict, allowed, where: str) -> None:
     for key in obj:
         if key not in allowed:
             raise FormatError(f"unknown field '{key}' in {where}")
 
 
-def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"field '{where}' must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        raise FormatError(f"field '{where}' must be a finite number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise FormatError(f"field '{where}' must be a finite number, got {value!r}")
-    return number
+def _number_rows(rows: list, name: str, width: int | None, expected: str) -> list[list[float]]:
+    """The rows of the array ``name`` as lists of floats.
+
+    Every row must hold ``width`` numbers, or as many as the first row when
+    ``width`` is None; ``expected.format(width)`` ends the message otherwise.
+    """
+    out = []
+    for i, row in enumerate(rows):
+        where = f"{name}[{i}]"
+        row = _checked(row, list, where)
+        if width is None:
+            width = len(row)
+        if len(row) != width:
+            raise FormatError(f"{where} has {len(row)} {expected.format(width)}")
+        out.append([_checked(x, float, where) for x in row])
+    return out
 
 
-def _as_index(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"field '{where}' must be an integer, got {value!r}")
-    return value
-
-
-def _check_schema(doc: dict, where: str) -> None:
-    schema = _require(doc, "schema", where)
-    if schema != SCHEMA:
-        raise FormatError(f"unsupported schema {schema!r}, expected {SCHEMA!r}")
-
-
-def _parse_json(text: str, where: str) -> dict:
+def _document(text: str, where: str, allowed: set[str]) -> dict:
+    """The JSON object in ``text``, of this schema and with ``allowed`` fields only."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON in {where}: {exc}") from None
     if not isinstance(doc, dict):
         raise FormatError(f"{where} must be a JSON object")
+    schema = _field(doc, "schema", where, None)
+    if schema != SCHEMA:
+        raise FormatError(f"unsupported schema {schema!r}, expected {SCHEMA!r}")
+    _reject_unknown(doc, allowed, where)
     return doc
 
 
-def load_instance(text: str) -> Instance:
-    doc = _parse_json(text, "instance document")
-    _check_schema(doc, "instance document")
-    _reject_unknown(doc, {"schema", "params", "metric", "links"}, "instance document")
-
-    praw = _as_object(_require(doc, "params", "instance document"), "params")
-    _reject_unknown(praw, {"alpha", "beta", "noise", "c_l", "K", "m"}, "params")
+def _dumps(doc: dict) -> str:
     try:
-        params = PhysicalParams(
-            alpha=_as_number(_require(praw, "alpha", "params"), "params.alpha"),
-            beta=_as_number(_require(praw, "beta", "params"), "params.beta"),
-            noise=_as_number(_require(praw, "noise", "params"), "params.noise"),
-            c_l=_as_number(_require(praw, "c_l", "params"), "params.c_l"),
-            K=_as_number(_require(praw, "K", "params"), "params.K"),
-            m=_as_number(_require(praw, "m", "params"), "params.m"),
-        )
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise FormatError(
+            "cannot save a NaN or infinite number, which JSON cannot represent "
+            "(is a coordinate or distance beyond the float range?)"
+        ) from None
+
+
+def load_instance(text: str) -> Instance:
+    where = "instance document"
+    doc = _document(text, where, {"schema", "params", "metric", "links"})
+
+    praw = _field(doc, "params", where, dict, "params")
+    names = [f.name for f in fields(PhysicalParams)]
+    _reject_unknown(praw, names, "params")
+    values = {key: _field(praw, key, "params", float) for key in names}
+    try:
+        params = PhysicalParams(**values)
     except ValueError as exc:
-        if isinstance(exc, FormatError):
-            raise
         raise FormatError(f"invalid params: {exc}") from None
 
-    mraw = _as_object(_require(doc, "metric", "instance document"), "metric")
-    mtype = _require(mraw, "type", "metric")
+    mraw = _field(doc, "metric", where, dict, "metric")
+    mtype = _field(mraw, "type", "metric", None)
     metric: Metric
     if mtype == "euclidean":
         _reject_unknown(mraw, {"type", "dim", "points"}, "metric")
-        dim = _as_index(_require(mraw, "dim", "metric"), "metric.dim")
-        pts_raw = _as_array(_require(mraw, "points", "metric"), "metric.points")
-        points = []
-        for i, pt in enumerate(pts_raw):
-            pt = _as_array(pt, f"metric.points[{i}]")
-            if len(pt) != dim:
-                raise FormatError(
-                    f"metric.points[{i}] has {len(pt)} coordinates, expected dim={dim}"
-                )
-            points.append([_as_number(x, f"metric.points[{i}]") for x in pt])
-        metric = EuclideanMetric(points=points)
+        dim = _field(mraw, "dim", "metric", int)
+        points = _field(mraw, "points", "metric", list)
+        metric = EuclideanMetric(
+            points=_number_rows(points, "metric.points", dim, "coordinates, expected dim={}")
+        )
     elif mtype == "matrix":
         _reject_unknown(mraw, {"type", "d"}, "metric")
-        rows_raw = _as_array(_require(mraw, "d", "metric"), "metric.d")
-        rows = []
-        for i, row in enumerate(rows_raw):
-            row = _as_array(row, f"metric.d[{i}]")
-            if rows and len(row) != len(rows[0]):
-                raise FormatError(
-                    f"metric.d[{i}] has {len(row)} entries, expected {len(rows[0])} "
-                    "as in metric.d[0]"
-                )
-            rows.append([_as_number(x, f"metric.d[{i}]") for x in row])
-        metric = MatrixMetric(d=rows)
+        rows = _field(mraw, "d", "metric", list)
+        metric = MatrixMetric(
+            d=_number_rows(rows, "metric.d", None, "entries, expected {} as in metric.d[0]")
+        )
     else:
         raise FormatError(f"unknown metric type {mtype!r}")
 
     senders, receivers = [], []
-    links_raw = _as_array(_require(doc, "links", "instance document"), "links")
-    for i, lraw in enumerate(links_raw):
-        where = f"links[{i}]"
-        lraw = _as_object(lraw, where)
-        _reject_unknown(lraw, {"id", "sender", "receiver"}, where)
+    for i, lraw in enumerate(_field(doc, "links", where, list, "links")):
+        link = f"links[{i}]"
+        lraw = _checked(lraw, dict, link)
+        _reject_unknown(lraw, {"id", "sender", "receiver"}, link)
         # Schedules name links by id, while every algorithm indexes them by
         # position, so the two must coincide.
-        link_id = _as_index(_require(lraw, "id", where), f"{where}.id")
+        link_id = _field(lraw, "id", link, int)
         if link_id != i:
             raise FormatError(
-                f"field '{where}.id' is {link_id}, but link ids must equal their "
+                f"field '{link}.id' is {link_id}, but link ids must equal their "
                 "positions (link-ids)"
             )
-        senders.append(_as_index(_require(lraw, "sender", where), f"{where}.sender"))
-        receivers.append(_as_index(_require(lraw, "receiver", where), f"{where}.receiver"))
+        senders.append(_field(lraw, "sender", link, int))
+        receivers.append(_field(lraw, "receiver", link, int))
     try:
         return Instance(metric=metric, senders=senders, receivers=receivers, params=params)
     except ValueError as exc:
         raise FormatError(f"invalid links: {exc}") from None
 
 
-def _as_object(obj, where: str) -> dict:
-    if not isinstance(obj, dict):
-        raise FormatError(f"field '{where}' must be a JSON object")
-    return obj
-
-
-def _as_array(obj, where: str) -> list:
-    if not isinstance(obj, list):
-        raise FormatError(f"field '{where}' must be a JSON array")
-    return obj
-
-
 def save_instance(inst: Instance) -> str:
-    p = inst.params
+    """The instance as JSON; FormatError if it holds a NaN or infinite number."""
     if isinstance(inst.metric, EuclideanMetric):
         metric_doc = {
             "type": "euclidean",
@@ -568,35 +561,25 @@ def save_instance(inst: Instance) -> str:
         metric_doc = {"type": "matrix", "d": inst.metric.d.tolist()}
     doc = {
         "schema": SCHEMA,
-        "params": {
-            "alpha": p.alpha,
-            "beta": p.beta,
-            "noise": p.noise,
-            "c_l": p.c_l,
-            "K": p.K,
-            "m": p.m,
-        },
+        "params": asdict(inst.params),
         "metric": metric_doc,
         "links": [
             {"id": i, "sender": p, "receiver": q}
             for i, (p, q) in enumerate(zip(inst.senders.tolist(), inst.receivers.tolist()))
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _dumps(doc)
 
 
 def load_schedule(text: str) -> Schedule:
-    doc = _parse_json(text, "schedule document")
-    _check_schema(doc, "schedule document")
-    _reject_unknown(doc, {"schema", "slots"}, "schedule document")
+    where = "schedule document"
+    doc = _document(text, where, {"schema", "slots"})
     slots = []
-    slots_raw = _as_array(_require(doc, "slots", "schedule document"), "slots")
-    for i, slot_raw in enumerate(slots_raw):
-        slot_raw = _as_array(slot_raw, f"slots[{i}]")
-        slots.append(frozenset(_as_index(x, f"slots[{i}]") for x in slot_raw))
+    for i, slot_raw in enumerate(_field(doc, "slots", where, list, "slots")):
+        name = f"slots[{i}]"
+        slots.append(frozenset(_checked(x, int, name) for x in _checked(slot_raw, list, name)))
     return Schedule(slots=tuple(slots))
 
 
 def save_schedule(sched: Schedule) -> str:
-    doc = {"schema": SCHEMA, "slots": [sorted(slot) for slot in sched.slots]}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _dumps({"schema": SCHEMA, "slots": [sorted(slot) for slot in sched.slots]})

@@ -45,11 +45,7 @@ def _term_matrix(inst: Instance) -> np.ndarray:
 class SubsetTable:
     """Feasibility bit for every one of the 2^n link subsets."""
 
-    n: int
     feasible: np.ndarray  # bool, length 2^n, indexed by bitmask
-
-    def is_feasible(self, mask: int) -> bool:
-        return bool(self.feasible[mask])
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -82,7 +78,7 @@ def subset_table(inst: Instance, cap: int = DEFAULT_CAP) -> SubsetTable:
     _check_cap(n, cap)
     thr = inst.params.affectance_threshold()
     if n == 0:
-        return SubsetTable(n=0, feasible=np.ones(1, dtype=bool))
+        return SubsetTable(feasible=np.ones(1, dtype=bool))
     t = _term_matrix(inst)
     w = min(n, (kernel.BLOCK // n).bit_length() - 1)
     lo_bits, hi_bits = _bit_matrix(w), _bit_matrix(n - w)
@@ -101,22 +97,17 @@ def subset_table(inst: Instance, cap: int = DEFAULT_CAP) -> SubsetTable:
         tol += thr
         np.less_equal(load, tol, out=ok)
         np.all(ok, axis=0, out=feasible[h])
-    return SubsetTable(n=n, feasible=feasible.reshape(-1))
+    return SubsetTable(feasible=feasible.reshape(-1))
 
 
-def _zeta(a: np.ndarray, n: int) -> np.ndarray:
-    """In place: a[X] becomes the sum of a[S] over the subsets S of X."""
+def _zeta(a: np.ndarray, n: int, op=np.add) -> np.ndarray:
+    """In place: a[X] becomes the sum of a[S] over the subsets S of X.
+
+    ``op=np.subtract`` gives the inverse, the Moebius transform.
+    """
     for k in range(n):
         pairs = a.reshape(-1, 2, 1 << k)
-        pairs[:, 1] += pairs[:, 0]
-    return a
-
-
-def _moebius(a: np.ndarray, n: int) -> np.ndarray:
-    """In place: the inverse of ``_zeta``."""
-    for k in range(n):
-        pairs = a.reshape(-1, 2, 1 << k)
-        pairs[:, 1] -= pairs[:, 0]
+        op(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
     return a
 
 
@@ -133,8 +124,6 @@ def optimal_schedule(inst: Instance, cap: int = DEFAULT_CAP) -> Schedule:
     """
     n = inst.n
     _check_cap(n, cap)
-    if n == 0:
-        return Schedule(slots=())
     feas = subset_table(inst, cap).feasible
     for v in range(n):
         if not feas[1 << v]:
@@ -151,7 +140,7 @@ def optimal_schedule(inst: Instance, cap: int = DEFAULT_CAP) -> Schedule:
     for k in range(1, n + 1):  # singletons are feasible: n layers reach the full set
         _zeta(layer, n)
         layer *= f
-        np.minimum(_moebius(layer, n), 1, out=layer)
+        np.minimum(_zeta(layer, n, np.subtract), 1, out=layer)
         dp[(layer > 0) & (dp > n)] = k
         if dp[full] == k:
             break

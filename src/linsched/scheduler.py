@@ -63,8 +63,8 @@ class SchedulerConfig:
     """Separation constant for the greedy admission rule.
 
     Any c > 1 produces a valid partition satisfying the counting bound; the
-    feasibility guarantee additionally needs c >= compute_c(...) and the
-    spatial-separation properties need c > 3 (see ``guarantees_separation``).
+    feasibility guarantee additionally needs c >= compute_c(...), which always
+    exceeds 3, as the spatial-separation properties require.
     """
 
     c: float
@@ -72,10 +72,6 @@ class SchedulerConfig:
     def __post_init__(self) -> None:
         if not 1 < self.c < math.inf:
             raise ValueError(f"separation constant c must be > 1 and finite, got {self.c!r}")
-
-    @property
-    def guarantees_separation(self) -> bool:
-        return self.c > 3
 
     def admit_threshold(self, alpha: float) -> float:
         return self.c**-alpha

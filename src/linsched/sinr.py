@@ -26,29 +26,6 @@ from . import kernel
 from .model import Instance, InternalError, Schedule, check_partition
 
 
-def affectance_term(w: int, v: int, inst: Instance) -> float:
-    """Interference of link w's sender on link v's receiver, relative form.
-
-    Returns (len_w / d(s_w, r_v))^alpha; +inf when the cross distance is 0.
-    Requires w != v.
-    """
-    if w == v:
-        raise ValueError("affectance term requires two distinct links")
-    return float(kernel.terms(inst, np.array([w]), inst.receivers[[v]])[0, 0])
-
-
-def affectance(v: int, members: Iterable[int], inst: Instance) -> float:
-    """Total affectance on link v from the links in ``members``.
-
-    v itself is excluded if present.  Terms are summed in ascending order to
-    stabilize floating point; the result is additive over disjoint member
-    sets and monotone under set inclusion.
-    """
-    W = np.fromiter(members, dtype=np.intp)
-    W = W[W != v]
-    return float(kernel.ascending_sums(kernel.terms(inst, W, inst.receivers[[v]]))[0])
-
-
 @dataclass(frozen=True)
 class FeasibilityResult:
     """Verdict for one slot.
@@ -60,7 +37,6 @@ class FeasibilityResult:
     feasible: bool
     worst_link: int | None
     worst_margin: float
-    per_link_affectance: dict[int, float]
 
 
 def slot_feasible(members: Iterable[int], inst: Instance) -> FeasibilityResult:
@@ -107,7 +83,6 @@ def slot_feasible(members: Iterable[int], inst: Instance) -> FeasibilityResult:
         feasible=feasible,
         worst_link=member_list[worst],
         worst_margin=float(margins[worst]),
-        per_link_affectance=dict(zip(member_list, aff.tolist())),
     )
 
 
@@ -115,22 +90,18 @@ def slot_feasible(members: Iterable[int], inst: Instance) -> FeasibilityResult:
 class FeasibilityReport:
     """Partition check plus per-slot feasibility for a whole schedule."""
 
-    partition_ok: bool
     partition_problems: tuple[str, ...]
     slot_results: tuple[FeasibilityResult, ...]
     feasible: bool
 
     @property
     def verdict(self) -> str:
-        if not self.partition_ok:
+        if self.partition_problems:
             return "invalid-partition"
         return "feasible" if self.feasible else "infeasible"
 
     def first_infeasible_slot(self) -> int | None:
-        for i, res in enumerate(self.slot_results):
-            if not res.feasible:
-                return i
-        return None
+        return next((i for i, res in enumerate(self.slot_results) if not res.feasible), None)
 
 
 def schedule_feasible(sched: Schedule, inst: Instance) -> FeasibilityReport:
@@ -145,7 +116,6 @@ def schedule_feasible(sched: Schedule, inst: Instance) -> FeasibilityReport:
     results = tuple(slot_feasible(slot, inst) for slot in slots if slot)
     all_ok = all(r.feasible for r in results)
     return FeasibilityReport(
-        partition_ok=not problems,
         partition_problems=tuple(problems),
         slot_results=results,
         feasible=(not problems) and all_ok,

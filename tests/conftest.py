@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from linsched import GenSpec, Instance, MatrixMetric, PhysicalParams, random_euclidean
+from linsched import GenSpec, Instance, PhysicalParams, kernel, random_euclidean
+from linsched.model import MatrixMetric
 from linsched.gen import SplitMix64
 
 
@@ -15,6 +16,17 @@ def params():
 def make_random_instance(seed: int, n: int = 8, box: float = 20.0, params=None):
     params = params or PhysicalParams(alpha=3.0, beta=2.0)
     return random_euclidean(GenSpec(n=n, params=params, box=box, seed=seed))
+
+
+def term_on(inst: Instance, w: int, v: int) -> float:
+    """The package kernel's term of link w on link v."""
+    return float(kernel.terms(inst, np.array([w]), inst.receivers[[v]])[0, 0])
+
+
+def affectance_on(inst: Instance, v: int, members) -> float:
+    """Affectance on link v from ``members`` (v excluded), summed by the package kernel."""
+    W = np.array([w for w in members if w != v], dtype=np.intp)
+    return float(kernel.ascending_sums(kernel.terms(inst, W, inst.receivers[[v]]))[0])
 
 
 def line_pseudometric(seed: int, n: int = 12) -> Instance:

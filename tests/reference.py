@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from linsched import EuclideanMetric, Instance, Schedule, SchedulerConfig, subset_table
-from linsched.model import REL_TOL
+from linsched import EuclideanMetric, Instance, SchedulerConfig
+from linsched.model import REL_TOL, Schedule
+from linsched.oracle import subset_table
 from linsched.scheduler import _processing_order
 
 

@@ -19,24 +19,22 @@ from linsched import (
     Instance,
     PhysicalParams,
     SchedulerConfig,
-    affectance,
     build_reduction,
     cli,
-    collocated,
     greedy_schedule,
-    interference_measure,
     load_instance,
     load_schedule,
     optimal_schedule,
-    pad_partition,
-    partition_solve,
     random_euclidean,
-    slot_feasible,
-    subset_table,
     verify_reduction,
 )
-from linsched.gen import SplitMix64
+from linsched.bounds import interference_measure
+from linsched.gen import SplitMix64, collocated
+from linsched.hardness import pad_partition
+from linsched.oracle import partition_solve, subset_table
+from linsched.sinr import slot_feasible
 
+from conftest import affectance_on
 from reference import raw_slot_feasible, separation_violations
 
 PARAMS = PhysicalParams(alpha=3.0, beta=2.0, noise=0.0, c_l=1.0, K=1.0, m=2.0)
@@ -190,7 +188,7 @@ def test_criterion_7_reduction_identity():
         middle = list(range(1, n + 1))
         expected = 2.0 / beta
         for end in (0, n + 1):
-            got = affectance(end, middle, art.instance)
+            got = affectance_on(art.instance, end, middle)
             if abs(got - expected) > 1e-9 * expected:
                 bad += 1
     _verdict(7, "end-link affectance equals 2/beta on 20 random reductions", bad == 0)
@@ -244,8 +242,8 @@ def test_criterion_10_invariance_suite(tmp_path):
         inst = random_euclidean(GenSpec(n=10, params=PARAMS, box=12.0, seed=seed))
         cut = 1 + int(rng.random() * 8)
         for v in range(10):
-            whole = affectance(v, range(10), inst)
-            parts = affectance(v, range(cut), inst) + affectance(v, range(cut, 10), inst)
+            whole = affectance_on(inst, v, range(10))
+            parts = affectance_on(inst, v, range(cut)) + affectance_on(inst, v, range(cut, 10))
             if abs(whole - parts) > 1e-12 * max(whole, parts, 1e-300):
                 ok = False
                 notes.append("additivity")
@@ -258,8 +256,8 @@ def test_criterion_10_invariance_suite(tmp_path):
     for lam in (1e-3, 1.0, 1e3):
         scaled = _scaled(base, lam)
         for v in range(12):
-            a0 = affectance(v, range(12), base)
-            a1 = affectance(v, range(12), scaled)
+            a0 = affectance_on(base, v, range(12))
+            a1 = affectance_on(scaled, v, range(12))
             if abs(a1 - a0) > 1e-12 * max(a0, a1):
                 ok = False
                 notes.append("scale-affectance")

@@ -7,16 +7,16 @@ import pytest
 from linsched import (
     EuclideanMetric,
     Instance,
-    InternalError,
     PhysicalParams,
-    Schedule,
     cli,
     load_instance,
     load_schedule,
     save_instance,
     save_schedule,
     sinr,
+    validate_instance,
 )
+from linsched.model import InternalError, Schedule
 
 
 def run_ok(capsys, argv):
@@ -417,3 +417,59 @@ def test_unexpected_errors_exit_3(tmp_path, capsys, monkeypatch, exc):
     err = capsys.readouterr().err.strip()
     assert err.startswith("internal error") and type(exc).__name__ in err
     assert "\n" not in err
+
+
+@pytest.mark.parametrize(
+    "family_args",
+    [
+        ["--family", "random-euclidean", "--n", "3", "--box", "1e308", "--lmax", "1e308"],
+        ["--family", "spread", "--n", "3", "--separation", "1e308"],
+    ],
+)
+def test_gen_refuses_non_finite_coordinates(tmp_path, capsys, family_args):
+    # receivers (or the third sender) land beyond the float range, at inf
+    out = tmp_path / "inst.json"
+    code = cli.run(["gen", *family_args, "--alpha", "3", "--beta", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert not out.exists()
+    assert err.startswith("error: cannot save a NaN or infinite number")
+
+
+def test_reduce_reports_overflowing_tuned_distances(tmp_path, capsys):
+    out = tmp_path / "red.json"
+    argv = ["reduce", "--partition", "1,2,3", "--alpha", "3", "--beta", "1e308", "--out", str(out)]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: beta*sum(B) = inf is too large: the sender-to-end-receiver "
+        "distances tuned from it overflow the float range\n"
+    )
+    assert not out.exists()
+
+
+def test_zero_distance_warnings_are_aggregated(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    argv = ["gen", "--family", "collocated", "--n", "20", "--alpha", "3", "--beta", "2"]
+    assert cli.run([*argv, "--out", str(inst)]) == 0
+    # validation still returns one diagnostic per pair of distinct collocated nodes
+    diags = validate_instance(load_instance(inst.read_text()))
+    assert [d.code for d in diags] == ["pseudometric-zero"] * 380
+    capsys.readouterr()
+    assert cli.run(["decide2", "--in", str(inst), "--cap", "20"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "warning [pseudometric-zero]: 380 warnings, the first 3: "
+        "distinct nodes 0 and 1 are at distance 0; distinct nodes 0 and 2 are at distance 0; "
+        "distinct nodes 0 and 3 are at distance 0\n"
+    )
+
+
+def test_single_warnings_keep_their_line(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert cli.run(gen_args(inst, n=3, extra=["--beta", "0.5"])) == 0
+    capsys.readouterr()
+    assert cli.run(["schedule", "--in", str(inst), "--c", "2", "--out", str(tmp_path / "s.json")]) == 0
+    assert capsys.readouterr().err == (
+        "warning [beta-regime]: beta = 0.5 <= 1 is outside the guaranteed regime\n"
+    )

@@ -6,15 +6,13 @@ from linsched import (
     GenSpec,
     PhysicalParams,
     SchedulerConfig,
-    collocated,
     greedy_schedule,
     optimal_schedule,
     random_euclidean,
     save_instance,
-    spread,
     validate_instance,
 )
-from linsched.gen import SplitMix64
+from linsched.gen import SplitMix64, collocated, spread
 
 
 def test_splitmix64_reference_values():

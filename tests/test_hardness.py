@@ -4,18 +4,15 @@ import itertools
 
 import pytest
 
-from linsched import (
-    MatrixMetric,
-    build_reduction,
-    metric_complete,
-    pad_partition,
-    partition_solve,
-    slot_feasible,
-    validate_instance,
-    verify_reduction,
-)
-from linsched.sinr import affectance, affectance_term
+from linsched import build_reduction, validate_instance, verify_reduction
+from linsched.hardness import metric_complete, pad_partition
+from linsched.model import MatrixMetric
+from linsched.oracle import partition_solve
+from linsched.sinr import slot_feasible
 from linsched.gen import SplitMix64
+
+import reference as ref
+from conftest import affectance_on, term_on as term
 
 
 def test_pad_small_example():
@@ -108,8 +105,8 @@ def test_reduction_term_for_single_middle_link():
     inst = art.instance
     for i in range(1, 10):
         a_i = art.padded_b[i - 1]
-        term = affectance_term(i, 0, inst)
-        assert term == pytest.approx(2 * a_i / (2.0 * 168), rel=1e-9)
+        assert term(inst, i, 0) == pytest.approx(2 * a_i / (2.0 * 168), rel=1e-9)
+        assert term(inst, i, 0) == ref.affectance_term(i, 0, inst)
 
 
 def test_affectance_identity_across_parameters():
@@ -123,8 +120,9 @@ def test_affectance_identity_across_parameters():
         n = len(art.padded_b)
         middle = list(range(1, n + 1))
         for end in (0, n + 1):
-            got = affectance(end, middle, art.instance)
+            got = affectance_on(art.instance, end, middle)
             assert got == pytest.approx(2.0 / beta, rel=1e-9), (a, alpha, beta)
+            assert got == pytest.approx(ref.affectance(end, middle, art.instance), rel=1e-12)
 
 
 def test_end_links_never_share_a_slot():
@@ -132,8 +130,9 @@ def test_end_links_never_share_a_slot():
     n = len(art.padded_b)
     # mutual term is exactly 1 because each end sender sits at the end
     # length from both coincident end receivers
-    assert affectance_term(0, n + 1, art.instance) == pytest.approx(1.0, rel=1e-12)
-    assert affectance_term(n + 1, 0, art.instance) == pytest.approx(1.0, rel=1e-12)
+    assert term(art.instance, 0, n + 1) == pytest.approx(1.0, rel=1e-12)
+    assert term(art.instance, n + 1, 0) == pytest.approx(1.0, rel=1e-12)
+    assert term(art.instance, 0, n + 1) == ref.affectance_term(0, n + 1, art.instance)
     assert not slot_feasible([0, n + 1], art.instance).feasible
 
 
@@ -147,7 +146,8 @@ def test_overloaded_end_slot_is_infeasible():
     assert not res.feasible
     assert res.worst_link == 0
     expected = 2.0 * sum(b[i - 1] for i in heavy) / (2.0 * art.sum_b)
-    assert res.per_link_affectance[0] == pytest.approx(expected, rel=1e-9)
+    assert affectance_on(art.instance, 0, heavy) == pytest.approx(expected, rel=1e-9)
+    assert affectance_on(art.instance, 0, heavy) == ref.affectance(0, heavy, art.instance)
 
 
 def test_build_reduction_rejects_bad_parameters():

@@ -12,19 +12,17 @@ import numpy as np
 import pytest
 
 import reference as ref
-from conftest import line_pseudometric, make_random_instance
+from conftest import affectance_on, line_pseudometric, make_random_instance
 from linsched import (
     EuclideanMetric,
     Instance,
     PhysicalParams,
     SchedulerConfig,
-    affectance,
     greedy_schedule,
-    interference_at,
-    interference_measure,
     kernel,
-    slot_feasible,
 )
+from linsched.bounds import interference_measure
+from linsched.sinr import slot_feasible
 from linsched.gen import SplitMix64
 from linsched.oracle import _HUGE, _term_matrix
 
@@ -98,7 +96,7 @@ def test_terms_match_reference(inst, block):
     np.fill_diagonal(expected, 0.0)
     np.testing.assert_allclose(table, np.where(np.isinf(expected), _HUGE, expected), rtol=REL)
     for v in (0, n - 1):
-        assert affectance(v, range(n), inst) == pytest.approx(ref.affectance(v, range(n), inst), rel=REL)
+        assert affectance_on(inst, v, range(n)) == pytest.approx(ref.affectance(v, range(n), inst), rel=REL)
 
 
 @pytest.mark.parametrize("inst", cases())
@@ -109,9 +107,8 @@ def test_slot_feasible_matches_reference(inst, block):
         assert res.feasible == feasible == ref.raw_slot_feasible(sorted(set(members)), inst)
         assert res.worst_link == worst_link
         assert res.worst_margin == pytest.approx(worst_margin, rel=REL, abs=REL)
-        assert res.per_link_affectance.keys() == per_link.keys()
         for v, a in per_link.items():
-            assert res.per_link_affectance[v] == pytest.approx(a, rel=REL)
+            assert affectance_on(inst, v, members) == pytest.approx(a, rel=REL)
 
 
 @pytest.mark.parametrize("inst", cases())
@@ -121,10 +118,10 @@ def test_interference_matches_reference(inst, block):
         ref_value, ref_node = ref.interference_measure(members, inst)
         assert node == ref_node
         assert value == pytest.approx(ref_value, rel=REL)
-    for p in inst.used_nodes()[:4]:
-        assert interference_at(p, range(inst.n), inst) == pytest.approx(
-            ref.interference_at(p, range(inst.n), inst), rel=REL
-        )
+    nodes = inst.used_nodes()[:4]
+    capped = np.minimum(kernel.terms(inst, np.arange(inst.n), nodes), 1.0)
+    for p, value in zip(nodes.tolist(), kernel.ascending_sums(capped).tolist()):
+        assert value == pytest.approx(ref.interference_at(p, range(inst.n), inst), rel=REL)
 
 
 @pytest.mark.parametrize("inst", cases())

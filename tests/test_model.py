@@ -6,14 +6,10 @@ import math
 import pytest
 
 from linsched import (
-    Diagnostic,
     EuclideanMetric,
     FormatError,
     Instance,
-    MatrixMetric,
     PhysicalParams,
-    Schedule,
-    check_partition,
     kernel,
     load_instance,
     load_schedule,
@@ -21,6 +17,7 @@ from linsched import (
     save_schedule,
     validate_instance,
 )
+from linsched.model import Diagnostic, MatrixMetric, Schedule, check_partition
 from linsched.gen import SplitMix64
 
 from conftest import make_random_instance
@@ -386,3 +383,153 @@ def test_lengths_positive_after_validation():
         inst = make_random_instance(seed=seed, n=6)
         assert [d for d in validate_instance(inst) if d.severity == "error"] == []
         assert all(length > 0 for length in inst.lengths)
+
+
+# Every FormatError branch of the loaders, one malformed document each, with
+# the exact message.  Each case changes one value of a valid document; the
+# path names it, and _DELETE removes the field instead.
+_DELETE = object()
+_INSTANCE = {
+    "schema": "sinr-linsched/1",
+    "params": {"alpha": 3.0, "beta": 2.0, "noise": 0.0, "c_l": 1.0, "K": 1.0, "m": 2.0},
+    "metric": {"type": "euclidean", "dim": 2, "points": [[0.0, 0.0], [1.0, 0.0]]},
+    "links": [{"id": 0, "sender": 0, "receiver": 1}],
+}
+_MATRIX = dict(_INSTANCE, metric={"type": "matrix", "d": [[0.0, 1.0], [1.0, 0.0]]})
+_SCHEDULE = {"schema": "sinr-linsched/1", "slots": [[0]]}
+
+
+def _changed(base, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(base))
+    *parents, key = path
+    obj = doc
+    for step in parents:
+        obj = obj[step]
+    if value is _DELETE:
+        del obj[key]
+    else:
+        obj[key] = value
+    return doc
+
+
+_INSTANCE_CASES = [
+    # missing field
+    (_INSTANCE, ("schema",), _DELETE, "missing field 'schema' in instance document"),
+    (_INSTANCE, ("params",), _DELETE, "missing field 'params' in instance document"),
+    (_INSTANCE, ("metric",), _DELETE, "missing field 'metric' in instance document"),
+    (_INSTANCE, ("links",), _DELETE, "missing field 'links' in instance document"),
+    (_INSTANCE, ("params", "beta"), _DELETE, "missing field 'beta' in params"),
+    (_INSTANCE, ("params", "m"), _DELETE, "missing field 'm' in params"),
+    (_INSTANCE, ("metric", "type"), _DELETE, "missing field 'type' in metric"),
+    (_INSTANCE, ("metric", "dim"), _DELETE, "missing field 'dim' in metric"),
+    (_INSTANCE, ("metric", "points"), _DELETE, "missing field 'points' in metric"),
+    (_MATRIX, ("metric", "d"), _DELETE, "missing field 'd' in metric"),
+    (_INSTANCE, ("links", 0, "id"), _DELETE, "missing field 'id' in links[0]"),
+    (_INSTANCE, ("links", 0, "receiver"), _DELETE, "missing field 'receiver' in links[0]"),
+    # unknown field
+    (_INSTANCE, ("extra",), 1, "unknown field 'extra' in instance document"),
+    (_INSTANCE, ("params", "gamma"), 1.0, "unknown field 'gamma' in params"),
+    (_INSTANCE, ("metric", "d"), [[0.0]], "unknown field 'd' in metric"),
+    (_MATRIX, ("metric", "dim"), 2, "unknown field 'dim' in metric"),
+    (_INSTANCE, ("links", 0, "weight"), 1, "unknown field 'weight' in links[0]"),
+    (_INSTANCE, ("metric", "type"), "polar", "unknown metric type 'polar'"),
+    # wrong schema
+    (
+        _INSTANCE, ("schema",), "sinr-linsched/2",
+        "unsupported schema 'sinr-linsched/2', expected 'sinr-linsched/1'",
+    ),
+    # non-object or non-array container
+    (_INSTANCE, (), [], "instance document must be a JSON object"),
+    (_INSTANCE, ("params",), [1, 2], "field 'params' must be a JSON object"),
+    (_INSTANCE, ("metric",), "euclidean", "field 'metric' must be a JSON object"),
+    (_INSTANCE, ("links", 0), 7, "field 'links[0]' must be a JSON object"),
+    (_INSTANCE, ("links",), 42, "field 'links' must be a JSON array"),
+    (_INSTANCE, ("metric", "points"), 7, "field 'metric.points' must be a JSON array"),
+    (_INSTANCE, ("metric", "points", 1), {"x": 1}, "field 'metric.points[1]' must be a JSON array"),
+    (_MATRIX, ("metric", "d"), {}, "field 'metric.d' must be a JSON array"),
+    (_MATRIX, ("metric", "d", 0), 0.0, "field 'metric.d[0]' must be a JSON array"),
+    # non-number
+    (_INSTANCE, ("params", "alpha"), "three", "field 'params.alpha' must be a number, got 'three'"),
+    (_INSTANCE, ("params", "m"), True, "field 'params.m' must be a number, got True"),
+    (_INSTANCE, ("metric", "points", 1, 0), None, "field 'metric.points[1]' must be a number, got None"),
+    (_MATRIX, ("metric", "d", 1, 0), "1", "field 'metric.d[1]' must be a number, got '1'"),
+    # non-finite
+    (_INSTANCE, ("params", "noise"), math.nan, "field 'params.noise' must be a finite number, got nan"),
+    (_INSTANCE, ("params", "K"), math.inf, "field 'params.K' must be a finite number, got inf"),
+    (
+        _INSTANCE, ("params", "alpha"), 10**400,
+        f"field 'params.alpha' must be a finite number, got {10**400!r}",
+    ),
+    (
+        _INSTANCE, ("metric", "points", 0, 1), -math.inf,
+        "field 'metric.points[0]' must be a finite number, got -inf",
+    ),
+    (_MATRIX, ("metric", "d", 0, 1), math.nan, "field 'metric.d[0]' must be a finite number, got nan"),
+    # over-range integer
+    (
+        _INSTANCE, ("links", 0, "sender"), 2**70,
+        "invalid links: senders must be node indices within the int64 range",
+    ),
+    (
+        _INSTANCE, ("links", 0, "receiver"), -(2**70),
+        "invalid links: receivers must be node indices within the int64 range",
+    ),
+    # non-integer index
+    (_INSTANCE, ("metric", "dim"), 2.0, "field 'metric.dim' must be an integer, got 2.0"),
+    (_INSTANCE, ("links", 0, "id"), "0", "field 'links[0].id' must be an integer, got '0'"),
+    (_INSTANCE, ("links", 0, "sender"), False, "field 'links[0].sender' must be an integer, got False"),
+    (_INSTANCE, ("links", 0, "receiver"), 1.0, "field 'links[0].receiver' must be an integer, got 1.0"),
+    # wrong dim, ragged d row, link id != position
+    (_INSTANCE, ("metric", "dim"), 3, "metric.points[0] has 2 coordinates, expected dim=3"),
+    (_INSTANCE, ("metric", "points", 1), [1.0], "metric.points[1] has 1 coordinates, expected dim=2"),
+    (_MATRIX, ("metric", "d", 1), [1.0], "metric.d[1] has 1 entries, expected 2 as in metric.d[0]"),
+    (
+        _INSTANCE, ("links", 0, "id"), 1,
+        "field 'links[0].id' is 1, but link ids must equal their positions (link-ids)",
+    ),
+    # parameters out of their domain
+    (_INSTANCE, ("params", "alpha"), 1.0, "invalid params: alpha must be > 1, got 1.0"),
+    (_INSTANCE, ("params", "c_l"), 0.0, "invalid params: c_l must be > 0, got 0.0"),
+]
+
+_SCHEDULE_CASES = [
+    (_SCHEDULE, ("schema",), _DELETE, "missing field 'schema' in schedule document"),
+    (_SCHEDULE, ("slots",), _DELETE, "missing field 'slots' in schedule document"),
+    (_SCHEDULE, ("extra",), 1, "unknown field 'extra' in schedule document"),
+    (_SCHEDULE, ("schema",), 1, "unsupported schema 1, expected 'sinr-linsched/1'"),
+    (_SCHEDULE, (), "x", "schedule document must be a JSON object"),
+    (_SCHEDULE, ("slots",), {}, "field 'slots' must be a JSON array"),
+    (_SCHEDULE, ("slots", 0), 0, "field 'slots[0]' must be a JSON array"),
+    (_SCHEDULE, ("slots", 0, 0), 0.5, "field 'slots[0]' must be an integer, got 0.5"),
+    (_SCHEDULE, ("slots", 0, 0), None, "field 'slots[0]' must be an integer, got None"),
+]
+
+
+@pytest.mark.parametrize(
+    "loader, base, path, value, message",
+    [(load_instance, *case) for case in _INSTANCE_CASES]
+    + [(load_schedule, *case) for case in _SCHEDULE_CASES],
+)
+def test_loader_messages_exact(loader, base, path, value, message):
+    text = json.dumps(_changed(base, path, value))
+    with pytest.raises(FormatError) as exc:
+        loader(text)
+    assert str(exc.value) == message
+
+
+def test_loader_bad_json_message_exact():
+    for loader, where in ((load_instance, "instance document"), (load_schedule, "schedule document")):
+        with pytest.raises(FormatError) as exc:
+            loader("{not json")
+        assert str(exc.value) == (
+            f"invalid JSON in {where}: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)"
+        )
+
+
+def test_loader_accepts_the_unchanged_documents():
+    assert load_instance(json.dumps(_INSTANCE)).lengths.tolist() == [1.0]
+    assert load_instance(json.dumps(_MATRIX)).lengths.tolist() == [1.0]
+    assert load_schedule(json.dumps(_SCHEDULE)).slots == (frozenset({0}),)

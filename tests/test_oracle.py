@@ -7,22 +7,17 @@ import pytest
 
 from linsched import (
     Instance,
-    InternalError,
-    MatrixMetric,
     PhysicalParams,
     SchedulerConfig,
-    collocated,
     greedy_schedule,
     optimal_schedule,
     oracle,
-    partition_solve,
     schedule_feasible,
-    slot_feasible,
-    spread,
-    subset_table,
-    two_slot_decision,
 )
-from linsched.gen import SplitMix64
+from linsched.gen import SplitMix64, collocated, spread
+from linsched.model import InternalError, MatrixMetric
+from linsched.oracle import partition_solve, subset_table, two_slot_decision
+from linsched.sinr import slot_feasible
 
 from conftest import line_pseudometric, make_random_instance
 from reference import optimal_schedule_reference
@@ -82,7 +77,7 @@ def test_optimal_schedule_rejects_non_downward_closed_table(monkeypatch):
     n = 6
     feasible = np.zeros(1 << n, dtype=bool)
     feasible[[0, 0b001111, 0b111100] + [1 << v for v in range(n)]] = True
-    monkeypatch.setattr(oracle, "subset_table", lambda inst, cap: oracle.SubsetTable(n, feasible))
+    monkeypatch.setattr(oracle, "subset_table", lambda inst, cap: oracle.SubsetTable(feasible))
     with pytest.raises(InternalError, match="downward closed"):
         optimal_schedule(collocated(n, PARAMS))
 
@@ -95,7 +90,7 @@ def test_subset_table_matches_slot_feasible(params):
         for _ in range(50):
             mask = 1 + int(rng.random() * ((1 << 8) - 1))
             members = [v for v in range(8) if mask >> v & 1]
-            assert table.is_feasible(mask) == slot_feasible(members, inst).feasible
+            assert table.feasible[mask] == slot_feasible(members, inst).feasible
 
 
 def test_subset_table_downward_closed(params):
@@ -187,3 +182,10 @@ def test_partition_matches_exhaustive_search():
             assert 2 * sum(values[i] for i in picked) == total
             assert len(set(picked)) == len(picked)
             assert all(0 <= i < n for i in picked)
+
+
+def test_empty_instance(params):
+    inst = make_random_instance(seed=0, n=0)
+    assert subset_table(inst).feasible.tolist() == [True]
+    assert optimal_schedule(inst).slots == ()
+    assert two_slot_decision(inst)

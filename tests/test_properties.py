@@ -16,18 +16,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linsched import (
-    EuclideanMetric,
-    Instance,
-    MatrixMetric,
-    PhysicalParams,
-    cli,
-    interference_measure,
-    load_instance,
-    save_instance,
-    slot_feasible,
-    subset_table,
-)
+from linsched import EuclideanMetric, Instance, PhysicalParams, cli, load_instance, save_instance
+from linsched.bounds import interference_measure
+from linsched.model import MatrixMetric
+from linsched.oracle import subset_table
+from linsched.sinr import slot_feasible
+
+from conftest import affectance_on
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -136,9 +131,9 @@ def test_relabelling_links_permutes_verdicts(data):
     after = slot_feasible({new_id[v] for v in members}, relabelled)
     assert after.feasible == before.feasible
     assert after.worst_margin == before.worst_margin
-    assert after.per_link_affectance == {
-        new_id[v]: a for v, a in before.per_link_affectance.items()
-    }
+    for v in members:
+        new_members = [new_id[w] for w in members]
+        assert affectance_on(relabelled, new_id[v], new_members) == affectance_on(inst, v, members)
     assert interference_measure(range(inst.n), relabelled) == interference_measure(
         range(inst.n), inst
     )

@@ -8,14 +8,12 @@ from linsched import (
     GenSpec,
     PhysicalParams,
     SchedulerConfig,
-    collocated,
-    compute_c,
-    compute_c0,
     greedy_schedule,
     random_euclidean,
     schedule_feasible,
-    spread,
 )
+from linsched.gen import collocated, spread
+from linsched.scheduler import compute_c, compute_c0
 from conftest import make_random_instance
 from reference import admission_trace_ok, greedy_schedule_reference, separation_violations
 
@@ -57,8 +55,6 @@ def test_scheduler_config_validation():
         with pytest.raises(ValueError, match="finite"):
             SchedulerConfig(c=c)
     cfg = SchedulerConfig(c=2.0)
-    assert not cfg.guarantees_separation
-    assert SchedulerConfig(c=9.0).guarantees_separation
     assert cfg.admit_threshold(3.0) == pytest.approx(0.125, rel=1e-12)
 
 

@@ -5,23 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from linsched import (
-    EuclideanMetric,
-    Instance,
-    InternalError,
-    MatrixMetric,
-    PhysicalParams,
-    Schedule,
-    affectance,
-    affectance_term,
-    collocated,
-    schedule_feasible,
-    sinr,
-    slot_feasible,
-)
-from linsched.gen import SplitMix64
+from linsched import EuclideanMetric, Instance, PhysicalParams, schedule_feasible, sinr
+from linsched.gen import SplitMix64, collocated
+from linsched.model import InternalError, MatrixMetric, Schedule
+from linsched.sinr import slot_feasible
 
-from conftest import make_random_instance
+import reference as ref
+from conftest import affectance_on, make_random_instance, term_on as term
 from reference import asym_distance, length, raw_slot_feasible
 
 
@@ -46,7 +36,8 @@ def unit_link_instance(cross: float, alpha: float = 3.0, beta: float = 2.0):
 def test_affectance_term_simple_ratio():
     # d_ww = 1, d_wv = 2, alpha = 3 -> (1/2)^3
     inst = unit_link_instance(cross=2.0)
-    assert affectance_term(0, 1, inst) == pytest.approx(0.125, rel=1e-12)
+    assert term(inst, 0, 1) == pytest.approx(0.125, rel=1e-12)
+    assert term(inst, 0, 1) == ref.affectance_term(0, 1, inst)
 
 
 def test_affectance_term_zero_distance_saturates():
@@ -58,20 +49,14 @@ def test_affectance_term_zero_distance_saturates():
         receivers=[1, 0],
         params=PhysicalParams(alpha=3.0, beta=2.0),
     )
-    assert affectance_term(0, 1, inst) == math.inf
+    assert term(inst, 0, 1) == math.inf == ref.affectance_term(0, 1, inst)
     assert not slot_feasible([0, 1], inst).feasible
-
-
-def test_affectance_term_rejects_same_link():
-    inst = make_random_instance(seed=0, n=2)
-    with pytest.raises(ValueError):
-        affectance_term(1, 1, inst)
 
 
 def test_affectance_empty_set_is_zero():
     inst = make_random_instance(seed=0, n=3)
-    assert affectance(0, [], inst) == 0.0
-    assert affectance(0, [0], inst) == 0.0  # self is excluded
+    assert affectance_on(inst, 0, []) == 0.0 == ref.affectance(0, [], inst)
+    assert affectance_on(inst, 0, [0]) == 0.0 == ref.affectance(0, [0], inst)  # self is excluded
 
 
 def test_affectance_matches_independent_resummation():
@@ -84,7 +69,7 @@ def test_affectance_matches_independent_resummation():
             for w in range(5)
             if w != v
         )
-        got = affectance(v, range(5), inst)
+        got = affectance_on(inst, v, range(5))
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -96,16 +81,16 @@ def test_affectance_additive_over_disjoint_sets():
         cut = 1 + int(rng.random() * 8)
         left, right = members[:cut], members[cut:]
         for v in (0, 5, 9):
-            whole = affectance(v, members, inst)
-            parts = affectance(v, left, inst) + affectance(v, right, inst)
+            whole = affectance_on(inst, v, members)
+            parts = affectance_on(inst, v, left) + affectance_on(inst, v, right)
             assert whole == pytest.approx(parts, rel=1e-12)
 
 
 def test_affectance_monotone_in_set():
     inst = make_random_instance(seed=4, n=8)
     for v in range(8):
-        small = affectance(v, [1, 2, 3], inst)
-        big = affectance(v, range(8), inst)
+        small = affectance_on(inst, v, [1, 2, 3])
+        big = affectance_on(inst, v, range(8))
         assert small <= big * (1 + 1e-12)
 
 
@@ -115,7 +100,7 @@ def test_singleton_margin_is_inverse_beta():
     assert res.feasible
     assert res.worst_link == 0
     assert res.worst_margin == pytest.approx(0.5, rel=1e-12)  # 1/beta, beta=2
-    assert res.per_link_affectance == {0: 0.0}
+    assert affectance_on(inst, 0, [0]) == 0.0 == ref.slot_feasible([0], inst)[3][0]
 
 
 def test_collocated_pair_infeasible():
@@ -123,7 +108,9 @@ def test_collocated_pair_infeasible():
     res = slot_feasible([0, 1], inst)
     assert not res.feasible
     # each link sees a single term of exactly 1
-    assert res.per_link_affectance[0] == pytest.approx(1.0, rel=1e-12)
+    for v in (0, 1):
+        assert affectance_on(inst, v, [0, 1]) == pytest.approx(1.0, rel=1e-12)
+        assert affectance_on(inst, v, [0, 1]) == ref.affectance(v, [0, 1], inst)
     assert res.worst_margin < 0
 
 
@@ -181,8 +168,8 @@ def test_scale_invariance_of_affectance_and_verdicts():
             params=base.params,
         )
         for v in range(8):
-            a0 = affectance(v, range(8), base)
-            a1 = affectance(v, range(8), scaled)
+            a0 = affectance_on(base, v, range(8))
+            a1 = affectance_on(scaled, v, range(8))
             assert a1 == pytest.approx(a0, rel=1e-12)
         for members in ([0, 1, 2], list(range(8))):
             r0 = slot_feasible(members, base)
@@ -235,4 +222,5 @@ def test_raw_form_survives_power_overflow():
     )
     res = slot_feasible([0, 1], inst)
     assert res.feasible
-    assert res.per_link_affectance == {0: 0.0, 1: 0.0}
+    assert term(inst, 0, 1) == term(inst, 1, 0) == 0.0 == ref.affectance_term(0, 1, inst)
+    assert res.worst_margin == inst.params.affectance_threshold()
