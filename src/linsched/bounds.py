@@ -51,7 +51,11 @@ class BoundReport:
     bound_holds: bool
 
 
-def bound_report(inst: Instance, sched: Schedule, cfg: SchedulerConfig) -> BoundReport:
+def bound_report(
+    inst: Instance,
+    sched: Schedule,
+    cfg: SchedulerConfig,
+) -> BoundReport:
     """Build the counting-bound report for a valid schedule.
 
     Raises ValueError on non-partitions.

@@ -106,9 +106,20 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     _write(args.out, save_schedule(sched))
     report = asdict(bounds.bound_report(inst, sched, cfg))
     del report["argmax_node"]
-    feasible = None if auto else sinr.schedule_feasible(sched, inst).feasible
-    _emit({"c": cfg.c, "c_mode": "auto" if auto else "manual", **report, "feasible": feasible})
-    return 1 if feasible is False else 0
+    feasible: bool | None = None
+    if not auto:
+        feasible = sinr.schedule_feasible(sched, inst).feasible
+    _emit(
+        {
+            "c": cfg.c,
+            "c_mode": "auto" if auto else "manual",
+            **report,
+            "feasible": feasible,
+        }
+    )
+    if feasible is False:
+        return 1
+    return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

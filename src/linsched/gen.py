@@ -67,7 +67,9 @@ class GenSpec:
 def _link_pairs(points: list[tuple[float, ...]], params: PhysicalParams) -> Instance:
     """Links over Euclidean points: nodes 2i and 2i+1 are the sender and receiver of link i."""
     nodes = 2 * np.arange(len(points) // 2)
-    return Instance(EuclideanMetric(points=points), nodes, nodes + 1, params)
+    return Instance(
+        metric=EuclideanMetric(points=points), senders=nodes, receivers=nodes + 1, params=params
+    )
 
 
 def random_euclidean(spec: GenSpec) -> Instance:

@@ -141,7 +141,8 @@ class PhysicalParams:
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         for f in fields(self):
-            value, op, bound = getattr(self, f.name), f.metadata["op"], f.metadata["bound"]
+            value = getattr(self, f.name)
+            op, bound = f.metadata["op"], f.metadata["bound"]
             if not (value > bound if op == ">" else value >= bound):
                 raise ValueError(f"{f.name} must be {op} {bound}, got {value}")
 
@@ -419,8 +420,6 @@ def _checked(value, kind: type, name: str):
     A float is any finite JSON number, returned as a Python float.  Booleans
     are neither numbers nor integers.
     """
-    if kind is float and type(value) is float and math.isfinite(value):
-        return value  # the common case
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         got = "" if kind is dict or kind is list else f", got {value!r}"
         raise FormatError(f"field '{name}' must be {_KINDS[kind]}{got}")
@@ -529,7 +528,8 @@ def load_instance(text: str) -> Instance:
         raise FormatError(f"unknown metric type {mtype!r}")
 
     senders, receivers = [], []
-    for i, lraw in enumerate(_field(doc, "links", where, list, "links")):
+    links_raw = _field(doc, "links", where, list, "links")
+    for i, lraw in enumerate(links_raw):
         link = f"links[{i}]"
         lraw = _checked(lraw, dict, link)
         _reject_unknown(lraw, {"id", "sender", "receiver"}, link)
@@ -575,11 +575,13 @@ def load_schedule(text: str) -> Schedule:
     where = "schedule document"
     doc = _document(text, where, {"schema", "slots"})
     slots = []
-    for i, slot_raw in enumerate(_field(doc, "slots", where, list, "slots")):
-        name = f"slots[{i}]"
-        slots.append(frozenset(_checked(x, int, name) for x in _checked(slot_raw, list, name)))
+    slots_raw = _field(doc, "slots", where, list, "slots")
+    for i, slot_raw in enumerate(slots_raw):
+        slot_raw = _checked(slot_raw, list, f"slots[{i}]")
+        slots.append(frozenset(_checked(x, int, f"slots[{i}]") for x in slot_raw))
     return Schedule(slots=tuple(slots))
 
 
 def save_schedule(sched: Schedule) -> str:
-    return _dumps({"schema": SCHEMA, "slots": [sorted(slot) for slot in sched.slots]})
+    doc = {"schema": SCHEMA, "slots": [sorted(slot) for slot in sched.slots]}
+    return _dumps(doc)

@@ -101,7 +101,10 @@ class FeasibilityReport:
         return "feasible" if self.feasible else "infeasible"
 
     def first_infeasible_slot(self) -> int | None:
-        return next((i for i, res in enumerate(self.slot_results) if not res.feasible), None)
+        for i, res in enumerate(self.slot_results):
+            if not res.feasible:
+                return i
+        return None
 
 
 def schedule_feasible(sched: Schedule, inst: Instance) -> FeasibilityReport:
