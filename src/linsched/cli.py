@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from dataclasses import MISSING, asdict, fields
@@ -40,29 +41,21 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _warn(diags) -> None:
-    """One stderr line per warning code: its message, or its count and first few."""
-    messages: dict[str, list[str]] = {}
-    for d in diags:
-        if d.severity == "warning":
-            messages.setdefault(d.code, []).append(d.message)
-    for code, texts in messages.items():
-        first = texts[:3]
-        if len(texts) > 1:
-            first = [f"{len(texts)} warnings, the first {len(first)}: " + "; ".join(first)]
-        print(f"warning [{code}]: {first[0]}", file=sys.stderr)
+def _reject_errors(diags, what: str) -> None:
+    errors = [d for d in diags if d.severity == "error"]
+    if errors:
+        raise FormatError(
+            f"{what} is invalid: " + "; ".join(f"[{d.code}] {d.message}" for d in errors)
+        )
 
 
 def _load_checked_instance(path: str, check_triangle: bool) -> Instance:
     inst = load_instance(_read(path))
     diags = validate_instance(inst, check_triangle=check_triangle)
-    errors = [d for d in diags if d.severity == "error"]
-    _warn(diags)
-    if errors:
-        raise FormatError(
-            f"instance {path} is invalid: "
-            + "; ".join(f"[{d.code}] {d.message}" for d in errors)
-        )
+    for d in diags:
+        if d.severity == "warning":
+            print(f"warning [{d.code}]: {d.message}", file=sys.stderr)
+    _reject_errors(diags, f"instance {path}")
     return inst
 
 
@@ -95,7 +88,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.separation is None:
             raise FormatError("--separation is required for the spread family")
         inst = gen.spread(args.n, args.separation, params)
-    _write(args.out, save_instance(inst))
+    text = save_instance(inst)  # refuses NaN and infinite coordinates first
+    # Rounding can collapse a link; collocated's matrix is a pseudometric by construction.
+    _reject_errors(validate_instance(inst, check_triangle=False), "generated instance")
+    _write(args.out, text)
     return 0
 
 
@@ -126,12 +122,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     inst = _load_checked_instance(args.infile, not args.no_triangle_check)
     sched = load_schedule(_read(args.sched))
     report = sinr.schedule_feasible(sched, inst)
+    slots = [asdict(r) for r in report.slot_results]
+    for slot in slots:  # a saturated slot's margin is -inf, which JSON cannot hold
+        slot["worst_margin"] = slot["worst_margin"] if math.isfinite(slot["worst_margin"]) else None
     _emit(
         {
             "verdict": report.verdict,
             "partition_problems": list(report.partition_problems),
             "first_infeasible_slot": report.first_infeasible_slot(),
-            "slots": [asdict(r) for r in report.slot_results],
+            "slots": slots,
         }
     )
     return 0 if report.feasible else 1

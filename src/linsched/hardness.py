@@ -122,6 +122,10 @@ def build_reduction(a: list[int], alpha: float, beta: float) -> ReductionArtifac
     links, a matrix (pseudo)metric, zero noise, unit power coefficient.
     """
     params = PhysicalParams(alpha=alpha, beta=beta, noise=0.0, c_l=1.0, K=1.0, m=2.0)
+    if not math.isfinite(2.0 / beta):
+        raise ValueError(
+            f"beta = {beta!r} is too small: the end-link affectance 2/beta overflows a float"
+        )
     b = pad_partition(a)
     n = len(b)
     total = sum(b)

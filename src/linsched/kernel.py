@@ -77,13 +77,13 @@ def ascending_sums(T: np.ndarray) -> np.ndarray:
     return np.cumsum(np.sort(T, axis=0), axis=0)[-1]
 
 
-def rel_leq(x, y, rel: float = REL_TOL) -> np.ndarray:
-    """x <= y elementwise, up to rel times the larger magnitude.
+def rel_leq(x, y) -> np.ndarray:
+    """x <= y elementwise, up to REL_TOL times the larger magnitude.
 
     False where x - y is infinite or NaN.
     """
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     with np.errstate(invalid="ignore", over="ignore"):
         diff = x - y
-        tol = rel * np.maximum(np.abs(x), np.abs(y))
+        tol = REL_TOL * np.maximum(np.abs(x), np.abs(y))
         return (x <= y) | (np.isfinite(diff) & (diff <= tol))

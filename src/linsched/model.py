@@ -13,7 +13,8 @@ threads.  The numbers are stored once, as read-only numpy arrays: the
 points or the distance matrix of the metric, the sender and receiver node
 of each link, and the link lengths, which ``kernel`` reads directly.
 Validation never raises for domain problems; it returns a list of
-diagnostics so callers can decide what is fatal.
+diagnostics, at most one per problem kind, so callers can decide what is
+fatal.
 """
 
 from __future__ import annotations
@@ -223,11 +224,7 @@ class Instance:
 
     def used_nodes(self) -> np.ndarray:
         """Sorted distinct node indices appearing as a sender or receiver."""
-        # Not np.unique: on first use it imports numpy.ma, about 0.9 MB.
-        nodes = np.sort(np.concatenate((self.senders, self.receivers)))
-        first = np.ones(len(nodes), dtype=bool)
-        first[1:] = nodes[1:] != nodes[:-1]
-        return nodes[first]
+        return np.flatnonzero(np.bincount(np.concatenate((self.senders, self.receivers))))
 
 
 @dataclass(frozen=True)
@@ -248,6 +245,19 @@ class Diagnostic:
     message: str
 
 
+def _summary(severity, code, offenders, describe, count=None) -> list[Diagnostic]:
+    """At most one diagnostic for the ``offenders`` (index rows, in report
+    order) of one code: ``describe(*row)`` names a lone offender; more are
+    counted (``count``, default their number), and only the first three named."""
+    count = len(offenders) if count is None else count
+    if count == 0:
+        return []
+    first = [describe(*map(int, row)) for row in offenders[:3]]
+    if count > 1:
+        first = [f"{count} {severity}s, the first {len(first)}: " + "; ".join(first)]
+    return [Diagnostic(severity, code, first[0])]
+
+
 def _check_matrix(metric: MatrixMetric, check_triangle: bool) -> list[Diagnostic]:
     d = metric.d
     n = len(d)
@@ -255,55 +265,40 @@ def _check_matrix(metric: MatrixMetric, check_triangle: bool) -> list[Diagnostic
         return [Diagnostic("error", "matrix-shape", "distance matrix is not square")]
     if not np.isfinite(d).all():
         return [Diagnostic("error", "non-finite", "distance matrix has a NaN or infinite entry")]
-    out: list[Diagnostic] = []
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    asymmetric = upper & (d != d.T)
-    negative = upper & (d < 0)
-    zero = upper & (d == 0.0)
-    flagged = asymmetric | negative | zero
-    np.fill_diagonal(flagged, np.diagonal(d) != 0.0)
-    # Row-major order reports d(p,p) before the pairs (p, q > p), row by row.
-    for p, q in zip(*(idx.tolist() for idx in np.nonzero(flagged))):
-        dpq = float(d[p, q])
-        if p == q:
-            out.append(Diagnostic("error", "matrix-diagonal", f"d({p},{p}) = {dpq!r}, expected 0"))
-            continue
-        if asymmetric[p, q]:
-            out.append(
-                Diagnostic(
-                    "error",
-                    "matrix-asymmetric",
-                    f"d({p},{q}) = {dpq!r} but d({q},{p}) = {float(d[q, p])!r}",
-                )
-            )
-        if negative[p, q]:
-            out.append(Diagnostic("error", "matrix-negative", f"d({p},{q}) = {dpq!r} < 0"))
-        elif zero[p, q]:
-            out.append(
-                Diagnostic(
-                    "warning", "pseudometric-zero", f"distinct nodes {p} and {q} are at distance 0"
-                )
-            )
+    entry_checks = (  # the entry d(p,q) = v, with t = d(q,p); str(float) is its repr
+        ("error", "matrix-diagonal", np.diag(d.diagonal() != 0), "d({p},{p}) = {v}, expected 0"),
+        ("error", "matrix-asymmetric", upper & (d != d.T), "d({p},{q}) = {v} but d({q},{p}) = {t}"),
+        ("error", "matrix-negative", upper & (d < 0), "d({p},{q}) = {v} < 0"),
+        ("warning", "pseudometric-zero", upper & (d == 0),
+         "distinct nodes {p} and {q} are at distance 0"),
+    )
+    out: list[Diagnostic] = []
+    for severity, code, mask, text in entry_checks:  # offenders in row-major order
+        out += _summary(
+            severity, code, np.argwhere(mask),
+            lambda p, q: text.format(p=p, q=q, v=float(d[p, q]), t=float(d[q, p])),
+        )
     if any(diag.severity == "error" for diag in out):
         return out
     if check_triangle:
         # Tolerance is absolute after normalizing the largest distance to 1.
         tol = REL_TOL * max(float(np.abs(d).max(initial=0.0)), 1.0)
+        count, triples = 0, []
         for p in range(n):
             with np.errstate(over="ignore"):  # a sum beyond the float range is inf
                 via = d[p][:, None] + d  # via[q, r] = d(p,q) + d(q,r)
                 over = d[p] > via + tol
             over[p] = False
-            for q, r in zip(*(idx.tolist() for idx in np.nonzero(over))):
-                out.append(
-                    Diagnostic(
-                        "error",
-                        "triangle-violation",
-                        f"d({p},{r}) = {float(d[p, r])!r} exceeds "
-                        f"d({p},{q}) + d({q},{r}) = {float(via[q, r])!r} "
-                        f"(triple {p},{q},{r})",
-                    )
-                )
+            count += int(np.count_nonzero(over))
+            if len(triples) < 3:  # _summary names the first three
+                triples += [(p, q, r) for q, r in np.argwhere(over)[:3]]
+        out += _summary(
+            "error", "triangle-violation", triples,
+            lambda p, q, r: f"d({p},{r}) = {float(d[p, r])!r} exceeds "
+            f"d({p},{q}) + d({q},{r}) = {float(d[p, q] + d[q, r])!r} (triple {p},{q},{r})",
+            count,
+        )
     return out
 
 
@@ -312,6 +307,8 @@ def validate_instance(inst: Instance, check_triangle: bool = True) -> list[Diagn
 
     Errors make the instance unusable for scheduling; warnings flag regimes
     where the feasibility guarantee of the greedy scheduler does not apply.
+    There is at most one diagnostic per code, in the order the checks run;
+    many offenders of one code are counted, and the first three named.
     ``check_triangle=False`` skips the cubic triangle-inequality scan on
     matrix metrics.
     """
@@ -322,38 +319,35 @@ def validate_instance(inst: Instance, check_triangle: bool = True) -> list[Diagn
     if isinstance(metric, EuclideanMetric):
         if metric.n_nodes > 0 and metric.dim < 1:
             out.append(Diagnostic("error", "euclidean-dim", "dimension must be >= 1"))
-        finite = np.isfinite(metric.points).all(axis=1)
-        for i in np.flatnonzero(~finite).tolist():
-            point = tuple(metric.points[i].tolist())
-            out.append(Diagnostic("error", "non-finite", f"point {i} = {point!r} is not finite"))
+        out += _summary(
+            "error", "non-finite", np.argwhere(~np.isfinite(metric.points).all(axis=1)),
+            lambda i: f"point {i} = {tuple(metric.points[i].tolist())!r} is not finite",
+        )
     else:
-        out.extend(_check_matrix(metric, check_triangle))
+        out += _check_matrix(metric, check_triangle)
 
     n_nodes = metric.n_nodes
     senders, receivers = inst.senders, inst.receivers
     out_of_range = (
         (senders < 0) | (senders >= n_nodes) | (receivers < 0) | (receivers >= n_nodes)
     )
-    for i in np.flatnonzero(out_of_range).tolist():
-        out.append(
-            Diagnostic(
-                "error",
-                "link-node-range",
-                f"link {i} references node out of range (sender={int(senders[i])}, "
-                f"receiver={int(receivers[i])}, n_nodes={n_nodes})",
-            )
-        )
+    out += _summary(
+        "error", "link-node-range", np.argwhere(out_of_range),
+        lambda i: f"link {i} references node out of range (sender={int(senders[i])}, "
+        f"receiver={int(receivers[i])}, n_nodes={n_nodes})",
+    )
     metric_ok = not any(
         d.severity == "error" and d.code.startswith(("matrix", "non-finite")) for d in out
     )
     if not out_of_range.any() and metric_ok:
         lengths = inst.lengths
-        for i in np.flatnonzero(lengths <= 0.0).tolist():
-            out.append(Diagnostic("error", "zero-length-link", f"link {i} has length 0"))
         # Finite points can still lie farther apart than the float range.
-        for i in np.flatnonzero(lengths == np.inf).tolist():
-            message = f"link {i} has length inf, beyond the float range"
-            out.append(Diagnostic("error", "infinite-length-link", message))
+        for code, mask, text in (
+            ("zero-length-link", lengths <= 0.0, "link {} has length 0"),
+            ("infinite-length-link", lengths == np.inf,
+             "link {} has length inf, beyond the float range"),
+        ):
+            out += _summary("error", code, np.argwhere(mask), text.format)
 
     if params.c_l <= params.beta * params.noise:
         out.append(

@@ -7,6 +7,9 @@ tolerance (Euclidean distances here come from ``math.dist``, in the kernel
 from ``np.hypot``).  Distances are read one pair at a time by ``dist``.
 ``optimal_schedule_reference`` is the exact oracle's former O(3^n)
 submask dynamic program, over the package's own subset table.
+``validate_instance_reference`` is validation as it was when it returned one
+diagnostic per offender, and ``aggregate_per_code`` folds that list into
+the one diagnostic per code that ``validate_instance`` returns.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+import numpy as np
+
 from linsched import EuclideanMetric, Instance, SchedulerConfig
-from linsched.model import REL_TOL, Schedule
+from linsched.model import REL_TOL, Diagnostic, MatrixMetric, Schedule
 from linsched.oracle import subset_table
 from linsched.scheduler import _processing_order
 
@@ -224,3 +229,174 @@ def optimal_schedule_reference(inst: Instance) -> Schedule:
         slots.append(frozenset(v for v in range(n) if sub >> v & 1))
         mask ^= sub
     return Schedule(slots=tuple(slots))
+
+
+def _check_matrix_reference(metric: MatrixMetric, check_triangle: bool) -> list[Diagnostic]:
+    d = metric.d
+    n = len(d)
+    if d.shape != (n, n):
+        return [Diagnostic("error", "matrix-shape", "distance matrix is not square")]
+    if not np.isfinite(d).all():
+        return [Diagnostic("error", "non-finite", "distance matrix has a NaN or infinite entry")]
+    out: list[Diagnostic] = []
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    asymmetric = upper & (d != d.T)
+    negative = upper & (d < 0)
+    zero = upper & (d == 0.0)
+    flagged = asymmetric | negative | zero
+    np.fill_diagonal(flagged, np.diagonal(d) != 0.0)
+    # Row-major order reports d(p,p) before the pairs (p, q > p), row by row.
+    for p, q in zip(*(idx.tolist() for idx in np.nonzero(flagged))):
+        dpq = float(d[p, q])
+        if p == q:
+            out.append(Diagnostic("error", "matrix-diagonal", f"d({p},{p}) = {dpq!r}, expected 0"))
+            continue
+        if asymmetric[p, q]:
+            out.append(
+                Diagnostic(
+                    "error",
+                    "matrix-asymmetric",
+                    f"d({p},{q}) = {dpq!r} but d({q},{p}) = {float(d[q, p])!r}",
+                )
+            )
+        if negative[p, q]:
+            out.append(Diagnostic("error", "matrix-negative", f"d({p},{q}) = {dpq!r} < 0"))
+        elif zero[p, q]:
+            out.append(
+                Diagnostic(
+                    "warning", "pseudometric-zero", f"distinct nodes {p} and {q} are at distance 0"
+                )
+            )
+    if any(diag.severity == "error" for diag in out):
+        return out
+    if check_triangle:
+        # Tolerance is absolute after normalizing the largest distance to 1.
+        tol = REL_TOL * max(float(np.abs(d).max(initial=0.0)), 1.0)
+        for p in range(n):
+            with np.errstate(over="ignore"):  # a sum beyond the float range is inf
+                via = d[p][:, None] + d  # via[q, r] = d(p,q) + d(q,r)
+                over = d[p] > via + tol
+            over[p] = False
+            for q, r in zip(*(idx.tolist() for idx in np.nonzero(over))):
+                out.append(
+                    Diagnostic(
+                        "error",
+                        "triangle-violation",
+                        f"d({p},{r}) = {float(d[p, r])!r} exceeds "
+                        f"d({p},{q}) + d({q},{r}) = {float(via[q, r])!r} "
+                        f"(triple {p},{q},{r})",
+                    )
+                )
+    return out
+
+
+def validate_instance_reference(inst: Instance, check_triangle: bool = True) -> list[Diagnostic]:
+    """``validate_instance`` with one diagnostic per offending point, link,
+    matrix entry or triple; ``aggregate_per_code`` folds them per code."""
+    out: list[Diagnostic] = []
+    metric = inst.metric
+    params = inst.params
+
+    if isinstance(metric, EuclideanMetric):
+        if metric.n_nodes > 0 and metric.dim < 1:
+            out.append(Diagnostic("error", "euclidean-dim", "dimension must be >= 1"))
+        finite = np.isfinite(metric.points).all(axis=1)
+        for i in np.flatnonzero(~finite).tolist():
+            point = tuple(metric.points[i].tolist())
+            out.append(Diagnostic("error", "non-finite", f"point {i} = {point!r} is not finite"))
+    else:
+        out.extend(_check_matrix_reference(metric, check_triangle))
+
+    n_nodes = metric.n_nodes
+    senders, receivers = inst.senders, inst.receivers
+    out_of_range = (
+        (senders < 0) | (senders >= n_nodes) | (receivers < 0) | (receivers >= n_nodes)
+    )
+    for i in np.flatnonzero(out_of_range).tolist():
+        out.append(
+            Diagnostic(
+                "error",
+                "link-node-range",
+                f"link {i} references node out of range (sender={int(senders[i])}, "
+                f"receiver={int(receivers[i])}, n_nodes={n_nodes})",
+            )
+        )
+    metric_ok = not any(
+        d.severity == "error" and d.code.startswith(("matrix", "non-finite")) for d in out
+    )
+    if not out_of_range.any() and metric_ok:
+        lengths = inst.lengths
+        for i in np.flatnonzero(lengths <= 0.0).tolist():
+            out.append(Diagnostic("error", "zero-length-link", f"link {i} has length 0"))
+        # Finite points can still lie farther apart than the float range.
+        for i in np.flatnonzero(lengths == np.inf).tolist():
+            message = f"link {i} has length inf, beyond the float range"
+            out.append(Diagnostic("error", "infinite-length-link", message))
+
+    if params.c_l <= params.beta * params.noise:
+        out.append(
+            Diagnostic(
+                "error",
+                "singleton-infeasible",
+                f"c_l = {params.c_l!r} must exceed beta*noise = "
+                f"{params.beta * params.noise!r}; even a singleton slot is infeasible",
+            )
+        )
+    bound = params.alpha_condition_bound()
+    if params.alpha <= bound:
+        out.append(
+            Diagnostic(
+                "warning",
+                "alpha-condition",
+                f"alpha = {params.alpha!r} <= m/(m+1-ceil(m)) = {bound!r}; "
+                "the greedy feasibility guarantee does not apply",
+            )
+        )
+    if params.beta <= 1:
+        out.append(
+            Diagnostic(
+                "warning",
+                "beta-regime",
+                f"beta = {params.beta!r} <= 1 is outside the guaranteed regime",
+            )
+        )
+    return out
+
+
+# The order in which validate_instance runs its checks.  euclidean-dim and
+# matrix-shape never occur together, so non-finite can follow both.
+CHECK_ORDER = (
+    "euclidean-dim",
+    "matrix-shape",
+    "non-finite",
+    "matrix-diagonal",
+    "matrix-asymmetric",
+    "matrix-negative",
+    "pseudometric-zero",
+    "triangle-violation",
+    "link-node-range",
+    "zero-length-link",
+    "infinite-length-link",
+    "singleton-infeasible",
+    "alpha-condition",
+    "beta-regime",
+)
+
+
+def aggregate_per_code(diags: list[Diagnostic]) -> list[Diagnostic]:
+    """One diagnostic per code, in CHECK_ORDER: a lone message as it is,
+    several as their count and the first three."""
+    groups: dict[str, list[Diagnostic]] = {}
+    for d in diags:
+        groups.setdefault(d.code, []).append(d)
+    out = []
+    for code in sorted(groups, key=CHECK_ORDER.index):
+        group = groups[code]
+        severity = group[0].severity
+        assert all(d.severity == severity for d in group)
+        first = [d.message for d in group[:3]]
+        message = first[0]
+        if len(group) > 1:
+            message = f"{len(group)} {severity}s, the first {len(first)}: " + "; ".join(first)
+        out.append(Diagnostic(severity, code, message))
+    return out

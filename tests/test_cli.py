@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from linsched import (
@@ -16,13 +18,23 @@ from linsched import (
     sinr,
     validate_instance,
 )
-from linsched.model import InternalError, Schedule
+from linsched.model import Diagnostic, InternalError, MatrixMetric, Schedule
+
+import reference as ref
 
 
 def run_ok(capsys, argv):
     code = cli.run(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _strict_json(text: str) -> dict:
+    """Parse stdout or a sidecar; NaN and Infinity are not JSON."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def gen_args(path, n=10, seed=0, extra=()):
@@ -53,14 +65,14 @@ def test_schedule_auto_then_verify_feasible(tmp_path, capsys):
     assert cli.run(gen_args(inst, n=20)) == 0
     code, out = run_ok(capsys, ["schedule", "--in", str(inst), "--c", "auto", "--out", str(sched)])
     assert code == 0
-    report = json.loads(out)
+    report = _strict_json(out)
     assert report["c_mode"] == "auto"
     assert report["bound_holds"] is True
     assert report["schedule_length"] == load_schedule(sched.read_text()).length
 
     code, out = run_ok(capsys, ["verify", "--in", str(inst), "--sched", str(sched)])
     assert code == 0
-    assert json.loads(out)["verdict"] == "feasible"
+    assert _strict_json(out)["verdict"] == "feasible"
 
 
 def test_schedule_manual_c_runs_verification(tmp_path, capsys):
@@ -68,7 +80,7 @@ def test_schedule_manual_c_runs_verification(tmp_path, capsys):
     sched = tmp_path / "sched.json"
     assert cli.run(gen_args(inst, n=15)) == 0
     code, out = run_ok(capsys, ["schedule", "--in", str(inst), "--c", "2.5", "--out", str(sched)])
-    report = json.loads(out)
+    report = _strict_json(out)
     assert report["c_mode"] == "manual"
     assert report["feasible"] in (True, False)
     assert code == (0 if report["feasible"] else 1)
@@ -85,7 +97,7 @@ def test_verify_flags_infeasible_slot(tmp_path, capsys):
     sched.write_text(json.dumps({"schema": "sinr-linsched/1", "slots": [[0, 1]]}))
     code, out = run_ok(capsys, ["verify", "--in", str(inst), "--sched", str(sched)])
     assert code == 1
-    report = json.loads(out)
+    report = _strict_json(out)
     assert report["verdict"] == "infeasible"
     assert report["first_infeasible_slot"] == 0
 
@@ -99,7 +111,7 @@ def test_verify_flags_non_partition(tmp_path, capsys):
         sched.write_text(json.dumps({"schema": "sinr-linsched/1", "slots": slots}))
         code, out = run_ok(capsys, ["verify", "--in", str(inst), "--sched", str(sched)])
         assert code == 1
-        assert json.loads(out)["verdict"] == "invalid-partition"
+        assert _strict_json(out)["verdict"] == "invalid-partition"
 
 
 def test_bound_command(tmp_path, capsys):
@@ -110,7 +122,7 @@ def test_bound_command(tmp_path, capsys):
     capsys.readouterr()
     code, out = run_ok(capsys, ["bound", "--in", str(inst), "--sched", str(sched)])
     assert code == 0
-    report = json.loads(out)
+    report = _strict_json(out)
     assert report["schedule_length"] < report["upper_bound"]
     assert report["bound_holds"] is True
     assert report["I_value"] >= 1.0
@@ -126,12 +138,12 @@ def test_exact_and_decide2(tmp_path, capsys):
     assert code == 0
     code, out = run_ok(capsys, ["exact", "--in", str(inst), "--out", str(exact_out)])
     assert code == 0
-    assert json.loads(out)["optimal_length"] == 3
+    assert _strict_json(out)["optimal_length"] == 3
     assert load_schedule(exact_out.read_text()).length == 3
 
     code, out = run_ok(capsys, ["decide2", "--in", str(inst)])
     assert code == 1
-    assert json.loads(out)["two_slot_schedulable"] is False
+    assert _strict_json(out)["two_slot_schedulable"] is False
 
 
 @pytest.mark.parametrize("box", ["12", "30"])  # three slots and two
@@ -140,14 +152,14 @@ def test_exact_and_decide2_at_hard_cap(tmp_path, capsys, box):
     assert cli.run(gen_args(inst, n=20, extra=("--box", box))) == 0
     code, out = run_ok(capsys, ["exact", "--in", str(inst), "--cap", "20", "--out", str(opt)])
     assert code == 0
-    optimal = json.loads(out)["optimal_length"]
+    optimal = _strict_json(out)["optimal_length"]
     assert optimal == load_schedule(opt.read_text()).length
     assert cli.run(["verify", "--in", str(inst), "--sched", str(opt)]) == 0
     assert cli.run(["schedule", "--in", str(inst), "--c", "auto", "--out", str(greedy)]) == 0
     capsys.readouterr()
     assert optimal <= load_schedule(greedy.read_text()).length
     code, out = run_ok(capsys, ["decide2", "--in", str(inst), "--cap", "20"])
-    assert json.loads(out)["two_slot_schedulable"] is (optimal <= 2)
+    assert _strict_json(out)["two_slot_schedulable"] is (optimal <= 2)
     assert code == (0 if optimal <= 2 else 1)
 
 
@@ -156,13 +168,6 @@ def test_exact_respects_cap(tmp_path, capsys):
     assert cli.run(gen_args(inst, n=18)) == 0
     code = cli.run(["exact", "--in", str(inst), "--out", str(tmp_path / "x.json")])
     assert code == 2  # default cap 16
-
-
-def _strict_json(text: str) -> dict:
-    def reject(name):
-        raise ValueError(f"non-standard JSON constant {name}")
-
-    return json.loads(text, parse_constant=reject)
 
 
 def test_bound_beyond_float_range_manual_c(tmp_path, capsys):
@@ -206,13 +211,13 @@ def test_reduce_emits_instance_and_sidecar(tmp_path, capsys):
     assert code == 0
     inst = load_instance(out.read_text())
     assert inst.n == 11  # 3*|A| + 2
-    sidecar = json.loads((tmp_path / "red.verify.json").read_text())
+    sidecar = _strict_json((tmp_path / "red.verify.json").read_text())
     assert sidecar["A"] == [1, 2, 3]
     assert sidecar["B"] == [1, 2, 3] + [27] * 6
     assert sidecar["S_of_B"] == 168
     assert sidecar["node_map"]["s0"] == 0
     assert sidecar["report"]["identity_ok"] is True
-    stdout_report = json.loads(stdout)
+    stdout_report = _strict_json(stdout)
     assert stdout_report["identity_ok"] is True
 
 
@@ -225,13 +230,13 @@ def test_reduce_decide2_round_trip(tmp_path, capsys):
     capsys.readouterr()
     code, stdout = run_ok(capsys, ["decide2", "--in", str(out)])
     assert code == 0
-    assert json.loads(stdout)["two_slot_schedulable"] is True
+    assert _strict_json(stdout)["two_slot_schedulable"] is True
 
 
 def test_constants_output(capsys):
     code, out = run_ok(capsys, ["constants", "--alpha", "3", "--beta", "2", "--K", "1", "--m", "2"])
     assert code == 0
-    report = json.loads(out)
+    report = _strict_json(out)
     assert report["c0"] == 648.0
     assert report["c"] == pytest.approx(1298.0 ** (1.0 / 3.0) + 3.0, rel=1e-12)
 
@@ -380,8 +385,8 @@ def test_cross_distance_beyond_float_range_exit_0(tmp_path, capsys):
     code = cli.run(["schedule", "--in", str(inst), "--c", "4", "--out", str(tmp_path / "s.json")])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
-    assert json.loads(captured.out)["schedule_length"] == 1
-    assert json.loads(captured.out)["feasible"] is True
+    assert _strict_json(captured.out)["schedule_length"] == 1
+    assert _strict_json(captured.out)["feasible"] is True
 
 
 def test_verify_far_links_at_huge_alpha_exit_0(tmp_path, capsys):
@@ -398,7 +403,7 @@ def test_verify_far_links_at_huge_alpha_exit_0(tmp_path, capsys):
     sched_path.write_text(save_schedule(Schedule(slots=(frozenset({0, 1}),))))
     code, out = run_ok(capsys, ["verify", "--in", str(inst_path), "--sched", str(sched_path)])
     assert code == 0
-    assert json.loads(out)["verdict"] == "feasible"
+    assert _strict_json(out)["verdict"] == "feasible"
 
 
 @pytest.mark.parametrize("exc", [InternalError("verdicts diverged"), ZeroDivisionError("bug")])
@@ -452,17 +457,20 @@ def test_zero_distance_warnings_are_aggregated(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     argv = ["gen", "--family", "collocated", "--n", "20", "--alpha", "3", "--beta", "2"]
     assert cli.run([*argv, "--out", str(inst)]) == 0
-    # validation still returns one diagnostic per pair of distinct collocated nodes
-    diags = validate_instance(load_instance(inst.read_text()))
-    assert [d.code for d in diags] == ["pseudometric-zero"] * 380
+    # one diagnostic counts the 380 pairs of distinct collocated nodes
+    message = (
+        "380 warnings, the first 3: "
+        "distinct nodes 0 and 1 are at distance 0; distinct nodes 0 and 2 are at distance 0; "
+        "distinct nodes 0 and 3 are at distance 0"
+    )
+    loaded = load_instance(inst.read_text())
+    assert validate_instance(loaded) == [Diagnostic("warning", "pseudometric-zero", message)]
+    per_pair = ref.validate_instance_reference(loaded)
+    assert [d.code for d in per_pair] == ["pseudometric-zero"] * 380
     capsys.readouterr()
     assert cli.run(["decide2", "--in", str(inst), "--cap", "20"]) == 1
     err = capsys.readouterr().err
-    assert err == (
-        "warning [pseudometric-zero]: 380 warnings, the first 3: "
-        "distinct nodes 0 and 1 are at distance 0; distinct nodes 0 and 2 are at distance 0; "
-        "distinct nodes 0 and 3 are at distance 0\n"
-    )
+    assert err == f"warning [pseudometric-zero]: {message}\n"
 
 
 def test_single_warnings_keep_their_line(tmp_path, capsys):
@@ -473,3 +481,82 @@ def test_single_warnings_keep_their_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "warning [beta-regime]: beta = 0.5 <= 1 is outside the guaranteed regime\n"
     )
+
+
+def test_verify_saturated_slot_prints_null_margin(tmp_path, capsys):
+    # receiver 1 and sender 2 coincide: link 1's term on link 0 is +inf
+    inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+    points = ((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2.0, 0.0))
+    instance = Instance(EuclideanMetric(points=points), [0, 2], [1, 3], PhysicalParams(3.0, 2.0))
+    inst.write_text(save_instance(instance))
+    sched.write_text(save_schedule(Schedule(slots=(frozenset({0, 1}),))))
+    assert sinr.slot_feasible([0, 1], instance).worst_margin == -math.inf
+    code, out = run_ok(capsys, ["verify", "--in", str(inst), "--sched", str(sched)])
+    assert code == 1
+    report = _strict_json(out)
+    assert report["verdict"] == "infeasible"
+    assert report["slots"] == [{"feasible": False, "worst_link": 0, "worst_margin": None}]
+
+
+def test_reduce_refuses_beta_with_infinite_end_affectance(tmp_path, capsys):
+    # 2/beta overflows, so the end-link identity cannot be stated
+    out = tmp_path / "red.json"
+    argv = ["reduce", "--partition", "1,2,3", "--alpha", "3", "--beta", "1e-310", "--out", str(out)]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: beta = 1e-310 is too small: the end-link affectance 2/beta overflows a float\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "family_args, zero_links",
+    [
+        (["--family", "random-euclidean", "--lmin", "1e-320", "--lmax", "1e-320"], [0, 1, 2]),
+        (["--family", "random-euclidean", "--box", "1e17", "--lmin", "1", "--lmax", "1"], [0, 1, 2]),
+        (["--family", "spread", "--separation", "1e17"], [1, 2]),
+    ],
+)
+def test_gen_refuses_zero_length_links(tmp_path, capsys, family_args, zero_links):
+    # a link shorter than the spacing of floats at its sender rounds to length 0
+    out = tmp_path / "inst.json"
+    argv = ["gen", *family_args, "--n", "3", "--alpha", "3", "--beta", "2", "--out", str(out)]
+    assert cli.run(argv) == 2
+    k = len(zero_links)
+    named = "; ".join(f"link {i} has length 0" for i in zero_links)
+    assert capsys.readouterr().err == (
+        "error: generated instance is invalid: "
+        f"[zero-length-link] {k} errors, the first {k}: {named}\n"
+    )
+    assert not out.exists()
+
+
+def _triangle_violating_matrix(n_nodes: int) -> Instance:
+    rng = np.random.default_rng(0)
+    d = rng.uniform(1, 10, size=(n_nodes, n_nodes))
+    d = (d + d.T) / 2
+    np.fill_diagonal(d, 0.0)
+    nodes = 2 * np.arange(n_nodes // 2)
+    return Instance(MatrixMetric(d=d), nodes, nodes + 1, PhysicalParams(alpha=3.0, beta=2.0))
+
+
+def test_many_triangle_violations_give_one_bounded_line(tmp_path, capsys):
+    instance = _triangle_violating_matrix(60)
+    d = instance.metric.d
+    # brute force over every (p, q, r) with q != p, same arithmetic and tolerance
+    tol = 1e-9 * max(float(np.abs(d).max()), 1.0)
+    over = d[:, None, :] > (d[:, :, None] + d[None, :, :]) + tol
+    over[np.arange(60), np.arange(60), :] = False
+    count = int(np.count_nonzero(over))
+    assert count > 1000
+    inst = tmp_path / "inst.json"
+    inst.write_text(save_instance(instance))
+    code = cli.run(["schedule", "--in", str(inst), "--out", str(tmp_path / "sched.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and len(captured.err) < 4096
+    assert captured.err.startswith(
+        f"error: instance {inst} is invalid: [triangle-violation] {count} errors, the first 3: "
+    )
+    assert captured.err.count("(triple ") == 3
+    assert not (tmp_path / "sched.json").exists()

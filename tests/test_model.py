@@ -20,6 +20,7 @@ from linsched import (
 from linsched.model import Diagnostic, MatrixMetric, Schedule, check_partition
 from linsched.gen import SplitMix64
 
+import reference as ref
 from conftest import make_random_instance
 
 
@@ -108,18 +109,18 @@ def test_validate_triangle_violation_names_triple():
     assert not any(x.code == "triangle-violation" for x in skipped)
 
 
-def _matrix_diagnostics(d, check_triangle=True):
-    inst = Instance(
+def _matrix_instance(d):
+    return Instance(
         metric=MatrixMetric(d=d),
         senders=[0],
         receivers=[1],
         params=PhysicalParams(alpha=3.0, beta=2.0),
     )
-    return validate_instance(inst, check_triangle=check_triangle)
 
 
 def test_validate_matrix_diagnostics_exact():
-    # every violated triple in (p, q, r) order, values printed as plain floats
+    # one diagnostic per code: the count, then the first three offenders in
+    # (p, q, r) order, values printed as plain floats
     d = (
         (0.0, 0.1, 0.5, 0.1),
         (0.1, 0.0, 0.2, 0.1),
@@ -127,32 +128,45 @@ def test_validate_matrix_diagnostics_exact():
         (0.1, 0.1, 0.3, 0.0),
     )
     triangle = "triangle-violation"
-    assert _matrix_diagnostics(d) == [
-        Diagnostic(
-            "error", triangle, "d(0,2) = 0.5 exceeds d(0,1) + d(1,2) = 0.30000000000000004 (triple 0,1,2)"
-        ),
-        Diagnostic("error", triangle, "d(0,2) = 0.5 exceeds d(0,3) + d(3,2) = 0.4 (triple 0,3,2)"),
-        Diagnostic(
-            "error", triangle, "d(2,0) = 0.5 exceeds d(2,1) + d(1,0) = 0.30000000000000004 (triple 2,1,0)"
-        ),
-        Diagnostic("error", triangle, "d(2,0) = 0.5 exceeds d(2,3) + d(3,0) = 0.4 (triple 2,3,0)"),
+    per_triple = [
+        "d(0,2) = 0.5 exceeds d(0,1) + d(1,2) = 0.30000000000000004 (triple 0,1,2)",
+        "d(0,2) = 0.5 exceeds d(0,3) + d(3,2) = 0.4 (triple 0,3,2)",
+        "d(2,0) = 0.5 exceeds d(2,1) + d(1,0) = 0.30000000000000004 (triple 2,1,0)",
+        "d(2,0) = 0.5 exceeds d(2,3) + d(3,0) = 0.4 (triple 2,3,0)",
     ]
-    # entry checks in row order: d(p,p) first, then the pairs (p, q > p)
+    inst = _matrix_instance(d)
+    assert validate_instance(inst) == [
+        Diagnostic("error", triangle, "4 errors, the first 3: " + "; ".join(per_triple[:3]))
+    ]
+    # the reference still names every triple
+    assert ref.validate_instance_reference(inst) == [
+        Diagnostic("error", triangle, message) for message in per_triple
+    ]
+    assert validate_instance(inst, check_triangle=False) == []
+    # entry checks in the order they run, each code's offenders in row order
     d = (
         (0.5, 1.0, -2.0),
         (1.0, 0.0, 0.0),
         (-1.0, 0.0, 0.25),
     )
-    assert _matrix_diagnostics(d) == [
-        Diagnostic("error", "matrix-diagonal", "d(0,0) = 0.5, expected 0"),
+    inst = _matrix_instance(d)
+    diagonal = ["d(0,0) = 0.5, expected 0", "d(2,2) = 0.25, expected 0"]
+    assert validate_instance(inst) == [
+        Diagnostic("error", "matrix-diagonal", "2 errors, the first 2: " + "; ".join(diagonal)),
         Diagnostic("error", "matrix-asymmetric", "d(0,2) = -2.0 but d(2,0) = -1.0"),
         Diagnostic("error", "matrix-negative", "d(0,2) = -2.0 < 0"),
         Diagnostic("warning", "pseudometric-zero", "distinct nodes 1 and 2 are at distance 0"),
-        Diagnostic("error", "matrix-diagonal", "d(2,2) = 0.25, expected 0"),
     ]
-    rectangular = ((0.0, 1.0, 2.0), (1.0, 0.0, 1.0))
+    assert ref.validate_instance_reference(inst) == [
+        Diagnostic("error", "matrix-diagonal", diagonal[0]),
+        Diagnostic("error", "matrix-asymmetric", "d(0,2) = -2.0 but d(2,0) = -1.0"),
+        Diagnostic("error", "matrix-negative", "d(0,2) = -2.0 < 0"),
+        Diagnostic("warning", "pseudometric-zero", "distinct nodes 1 and 2 are at distance 0"),
+        Diagnostic("error", "matrix-diagonal", diagonal[1]),
+    ]
+    rectangular = _matrix_instance(((0.0, 1.0, 2.0), (1.0, 0.0, 1.0)))
     for check_triangle in (True, False):
-        assert _matrix_diagnostics(rectangular, check_triangle) == [
+        assert validate_instance(rectangular, check_triangle) == [
             Diagnostic("error", "matrix-shape", "distance matrix is not square")
         ]
 
@@ -215,9 +229,12 @@ def test_validate_link_id_and_range_errors():
     metric = EuclideanMetric(points=((0.0, 0.0), (1.0, 0.0)))
     bad_node = _pairs(metric, [0, 1, -1], [5, 0, 1])
     message = "link {} references node out of range (sender={}, receiver={}, n_nodes=2)"
+    per_link = [message.format(0, 0, 5), message.format(2, -1, 1)]
     assert validate_instance(bad_node) == [
-        Diagnostic("error", "link-node-range", message.format(0, 0, 5)),
-        Diagnostic("error", "link-node-range", message.format(2, -1, 1)),
+        Diagnostic("error", "link-node-range", "2 errors, the first 2: " + "; ".join(per_link))
+    ]
+    assert ref.validate_instance_reference(bad_node) == [
+        Diagnostic("error", "link-node-range", text) for text in per_link
     ]
     # node indices beyond int64 cannot be stored
     with pytest.raises(ValueError, match="int64"):
@@ -321,6 +338,14 @@ def test_validate_rejects_non_finite_metric():
     matrix = Instance(MatrixMetric(d=((0.0, math.inf), (math.inf, 0.0))), [0], [1], params)
     for inst in (euclid, matrix):
         assert any(d.code == "non-finite" for d in validate_instance(inst))
+    # many non-finite points: counted, the first three named in index order
+    points = ((math.inf, 0.0), (0.0, 0.0), (math.nan, 1.0), (0.0, -math.inf), (math.nan, 0.0))
+    inst = Instance(EuclideanMetric(points=points), [1], [0], params)
+    named = "; ".join(f"point {i} = {points[i]!r} is not finite" for i in (0, 2, 3))
+    assert validate_instance(inst) == [
+        Diagnostic("error", "non-finite", f"4 errors, the first 3: {named}")
+    ]
+    assert ref.aggregate_per_code(ref.validate_instance_reference(inst)) == validate_instance(inst)
 
 
 def test_load_rejects_wrong_container_types():

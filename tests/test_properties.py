@@ -1,7 +1,8 @@
-"""Property tests: bit-exact JSON round trips, invariance under relabelling
-links, the subset table against slot feasibility, and CLI exit codes on
-fuzzed instance documents.  Hypothesis runs derandomized with few examples,
-so the suite stays deterministic and fast.
+"""Property tests: bit-exact JSON round trips, validation against its
+per-offender reference, invariance under relabelling links, the subset table
+against slot feasibility, and CLI exit codes on fuzzed instance documents.
+Hypothesis runs derandomized with few examples, so the suite stays
+deterministic and fast.
 """
 
 from __future__ import annotations
@@ -16,13 +17,22 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linsched import EuclideanMetric, Instance, PhysicalParams, cli, load_instance, save_instance
+from linsched import (
+    EuclideanMetric,
+    Instance,
+    PhysicalParams,
+    cli,
+    load_instance,
+    save_instance,
+    validate_instance,
+)
 from linsched.bounds import interference_measure
 from linsched.model import MatrixMetric
 from linsched.oracle import subset_table
 from linsched.sinr import slot_feasible
 
 from conftest import affectance_on
+from reference import aggregate_per_code, validate_instance_reference
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -93,6 +103,38 @@ def test_instance_round_trip_is_bit_exact(inst):
     assert np.array_equal(_bits(old), _bits(new))
     assert np.array_equal(_bits(_param_values(inst.params)), _bits(_param_values(again.params)))
     assert save_instance(again) == text
+
+
+def _assert_validation_matches_reference(inst: Instance) -> None:
+    for check_triangle in (True, False):
+        expected = aggregate_per_code(validate_instance_reference(inst, check_triangle))
+        assert validate_instance(inst, check_triangle) == expected
+
+
+@FIXED
+@given(st.booleans().flatmap(instances))
+def test_validation_is_the_reference_aggregated_per_code(inst):
+    _assert_validation_matches_reference(inst)
+
+
+@st.composite
+def symmetric_matrix_instances(draw) -> Instance:
+    """Symmetric, zero-diagonal matrices of small integers, so that the entry
+    checks pass and the triangle scan runs; links may name missing nodes."""
+    n_nodes = draw(st.integers(1, 7))
+    upper = np.triu_indices(n_nodes, 1)
+    d = np.zeros((n_nodes, n_nodes))
+    d[upper] = draw(st.lists(st.integers(0, 9), min_size=len(upper[0]), max_size=len(upper[0])))
+    node = st.integers(-1, n_nodes)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=5))
+    senders, receivers = [p for p, _ in pairs], [q for _, q in pairs]
+    return Instance(MatrixMetric(d=d + d.T), senders, receivers, draw(params))
+
+
+@FIXED
+@given(symmetric_matrix_instances())
+def test_validation_of_symmetric_matrices_is_the_reference_aggregated(inst):
+    _assert_validation_matches_reference(inst)
 
 
 # ---------------------------------------------------------------------------
