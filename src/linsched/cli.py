@@ -185,9 +185,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_constants(args: argparse.Namespace) -> int:
     params = _params(args)
-    c0 = scheduler.compute_c0(params.alpha, params.K, params.m)
-    c = scheduler.compute_c(params.alpha, params.effective_beta(), params.K, params.m)
-    _emit({"c0": c0, "c": c})
+    _emit({"c0": scheduler.compute_c0(params), "c": scheduler.compute_c(params)})
     return 0
 
 

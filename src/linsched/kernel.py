@@ -5,8 +5,8 @@ exact oracle's term matrix are all sums of this one term.  They get it from
 here, a block of terms at a time, computed straight from the instance's
 read-only arrays (``metric.points`` or ``metric.d``, ``Instance.lengths``,
 ``senders`` and ``receivers``).  Callers split their work with ``blocks`` so
-that no temporary grows beyond about ``BLOCK`` elements, whatever the
-instance size.
+that no temporary grows beyond about ``BLOCK`` elements or one column of n
+terms, whatever the instance size.
 
 The arithmetic follows the scalar forms it replaced.  Powers use
 ``np.float_power``, which calls the C library ``pow`` as Python's ``**``

@@ -151,27 +151,38 @@ class PhysicalParams:
         """Right side of the additive SINR condition: 1/beta - noise/c_l.
 
         A slot S is feasible iff the affectance on each member stays at or
-        below this value.  Nonpositive means even a lone link cannot decode.
+        below this value.  ``budget_problem`` says when no slot can be.
         """
         return 1.0 / self.beta - self.noise / self.c_l
 
-    def effective_beta(self) -> float:
-        """Reciprocal of the affectance threshold.
+    def budget_problem(self) -> str | None:
+        """Why not even a lone link can decode, or None.
 
-        Folds nonzero noise into a single SINR-threshold-like constant, so
-        noisy configurations reuse every noise-free formula unchanged.
+        The affectance budget 1/beta - noise/c_l must be positive and finite,
+        and so must the raw form's power budget c_l - beta*noise.
         """
         thr = self.affectance_threshold()
-        if thr <= 0:
-            raise ValueError(
-                "affectance threshold is nonpositive (c_l <= beta*noise); "
-                "no slot is feasible"
-            )
-        return 1.0 / thr
+        noise_power = self.beta * self.noise
+        if 0 < thr < math.inf and noise_power < self.c_l:
+            return None
+        return (
+            f"1/beta - noise/c_l = {thr!r} must be positive and finite, and beta*noise = "
+            f"{noise_power!r} must be below c_l = {self.c_l!r}; even a singleton slot is "
+            "infeasible"
+        )
 
-    def alpha_condition_bound(self) -> float:
-        """Smallest admissible path-loss exponent, m/(m+1-ceil(m))."""
-        return self.m / _fraction_gap(self.m)
+    def alpha_problem(self) -> str | None:
+        """Why the greedy feasibility guarantee does not apply, or None.
+
+        It needs alpha*(m+1-ceil(m)) > m.
+        """
+        gap = self.alpha * _fraction_gap(self.m)
+        if gap > self.m:
+            return None
+        return (
+            f"alpha*(m+1-ceil(m)) = {gap!r} must exceed m = {self.m!r} (alpha = "
+            f"{self.alpha!r}); the greedy feasibility guarantee does not apply"
+        )
 
 
 @dataclass(frozen=True)
@@ -349,33 +360,14 @@ def validate_instance(inst: Instance, check_triangle: bool = True) -> list[Diagn
         ):
             out += _summary("error", code, np.argwhere(mask), text.format)
 
-    if params.c_l <= params.beta * params.noise:
-        out.append(
-            Diagnostic(
-                "error",
-                "singleton-infeasible",
-                f"c_l = {params.c_l!r} must exceed beta*noise = "
-                f"{params.beta * params.noise!r}; even a singleton slot is infeasible",
-            )
-        )
-    bound = params.alpha_condition_bound()
-    if params.alpha <= bound:
-        out.append(
-            Diagnostic(
-                "warning",
-                "alpha-condition",
-                f"alpha = {params.alpha!r} <= m/(m+1-ceil(m)) = {bound!r}; "
-                "the greedy feasibility guarantee does not apply",
-            )
-        )
-    if params.beta <= 1:
-        out.append(
-            Diagnostic(
-                "warning",
-                "beta-regime",
-                f"beta = {params.beta!r} <= 1 is outside the guaranteed regime",
-            )
-        )
+    beta_regime = f"beta = {params.beta!r} <= 1 is outside the guaranteed regime"
+    for severity, code, problem in (
+        ("error", "singleton-infeasible", params.budget_problem()),
+        ("warning", "alpha-condition", params.alpha_problem()),
+        ("warning", "beta-regime", beta_regime if params.beta <= 1 else None),
+    ):
+        if problem is not None:
+            out.append(Diagnostic(severity, code, problem))
     return out
 
 
@@ -572,7 +564,11 @@ def load_schedule(text: str) -> Schedule:
     slots_raw = _field(doc, "slots", where, list, "slots")
     for i, slot_raw in enumerate(slots_raw):
         slot_raw = _checked(slot_raw, list, f"slots[{i}]")
-        slots.append(frozenset(_checked(x, int, f"slots[{i}]") for x in slot_raw))
+        slot = frozenset(_checked(x, int, f"slots[{i}]") for x in slot_raw)
+        if len(slot) != len(slot_raw):
+            repeated = next(x for k, x in enumerate(slot_raw) if x in slot_raw[:k])
+            raise FormatError(f"slots[{i}] repeats link id {repeated}")
+        slots.append(slot)
     return Schedule(slots=tuple(slots))
 
 

@@ -20,20 +20,18 @@ from . import kernel
 from .model import Instance, PhysicalParams, Schedule, _fraction_gap
 
 
-def compute_c0(alpha: float, K: float, m: float) -> float:
+def compute_c0(params: PhysicalParams) -> float:
     """Closed-form interference budget constant for same-slot shorter links.
 
-    Requires alpha * (m + 1 - ceil(m)) > m; raises ValueError otherwise.
+    Raises ValueError when ``params.alpha_problem()`` names a reason.
     """
-    ceil_m = math.ceil(m)
+    problem = params.alpha_problem()
+    if problem is not None:
+        raise ValueError(problem)
+    alpha, K, m = params.alpha, params.K, params.m
     gap = alpha * _fraction_gap(m)
-    if not gap > m:
-        raise ValueError(
-            f"alpha condition violated: need alpha > m/(m+1-ceil(m)) = "
-            f"{m / _fraction_gap(m)!r}, got alpha = {alpha!r}"
-        )
     try:
-        c0 = 3.0**alpha * (2.0 * ceil_m * K * K) ** (alpha / m) * gap / (gap - m)
+        c0 = 3.0**alpha * (2.0 * math.ceil(m) * K * K) ** (alpha / m) * gap / (gap - m)
     except OverflowError:
         c0 = math.inf
     if not math.isfinite(c0):
@@ -41,21 +39,24 @@ def compute_c0(alpha: float, K: float, m: float) -> float:
     return c0
 
 
-def compute_c(alpha: float, beta_eff: float, K: float, m: float) -> float:
+def compute_c(params: PhysicalParams) -> float:
     """Smallest separation constant with a feasibility guarantee.
 
-    ``beta_eff`` is the reciprocal affectance threshold (equal to beta when
-    the noise floor is zero).
+    It scales with beta_eff, the reciprocal affectance threshold (equal to
+    beta when the noise floor is zero).  Raises ValueError when
+    ``params.budget_problem()`` or ``params.alpha_problem()`` names a reason.
     """
-    if not beta_eff > 0:
-        raise ValueError(f"beta_eff must be > 0, got {beta_eff!r}")
-    c0 = compute_c0(alpha, K, m)
+    problem = params.budget_problem()
+    if problem is not None:
+        raise ValueError(problem)
+    c0 = compute_c0(params)
+    beta_eff = 1.0 / params.affectance_threshold()
     budget = beta_eff * (c0 + 1.0)
     if not math.isfinite(budget):
         raise ValueError(
             f"beta_eff*(c0+1) overflows a float for beta_eff = {beta_eff!r}, c0 = {c0!r}"
         )
-    return budget ** (1.0 / alpha) + 3.0
+    return budget ** (1.0 / params.alpha) + 3.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class SchedulerConfig:
     """Separation constant for the greedy admission rule.
 
     Any c > 1 produces a valid partition satisfying the counting bound; the
-    feasibility guarantee additionally needs c >= compute_c(...), which always
+    feasibility guarantee additionally needs c >= compute_c(params), which always
     exceeds 3, as the spatial-separation properties require.
     """
 
@@ -79,7 +80,7 @@ class SchedulerConfig:
     @classmethod
     def auto(cls, params: PhysicalParams) -> "SchedulerConfig":
         """Config at the guaranteed-feasible threshold for these parameters."""
-        return cls(c=compute_c(params.alpha, params.effective_beta(), params.K, params.m))
+        return cls(c=compute_c(params))
 
 
 def _processing_order(inst: Instance) -> np.ndarray:
@@ -97,13 +98,10 @@ def greedy_schedule(inst: Instance, cfg: SchedulerConfig) -> Schedule:
     thr = cfg.admit_threshold(inst.params.alpha)
     order = _processing_order(inst)
     slot_of = np.empty(inst.n, dtype=np.intp)  # slot of the link at each position
-    column = np.empty(inst.n)
     slots: list[list[int]] = []
     for i, v in enumerate(order.tolist()):
-        target = inst.receivers[v : v + 1]
-        for part in kernel.blocks(i, 1):
-            column[part] = kernel.terms(inst, order[part], target)[:, 0]
-        loads = np.bincount(slot_of[:i], weights=column[:i], minlength=len(slots))
+        column = kernel.terms(inst, order[:i], inst.receivers[v : v + 1])[:, 0]
+        loads = np.bincount(slot_of[:i], weights=column, minlength=len(slots))
         fits = np.flatnonzero(kernel.rel_leq(loads, thr))
         k = int(fits[0]) if len(fits) else len(slots)
         if k == len(slots):

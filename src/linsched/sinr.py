@@ -71,8 +71,10 @@ def slot_feasible(members: Iterable[int], inst: Instance) -> FeasibilityResult:
         interference[cols] = kernel.ascending_sums(r)
     thr = p.affectance_threshold()
     feasible = bool(kernel.rel_leq(aff, thr).all())
-    # A link's own received power is c_l*len^alpha/len^alpha = c_l.
-    raw_feasible = bool(kernel.rel_leq(p.beta * (interference + p.noise), p.c_l).all())
+    # A link's own received power is c_l*len^alpha/len^alpha = c_l, and noise
+    # leaves c_l - beta*noise of it for interference: this budget is beta*c_l
+    # times thr, so the 1e-9 band is the same fraction of the budget in both forms.
+    raw_feasible = bool(kernel.rel_leq(p.beta * interference, p.c_l - p.beta * p.noise).all())
     if feasible != raw_feasible:
         raise InternalError(
             f"raw SINR and affectance-form verdicts diverged on slot {member_list}"

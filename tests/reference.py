@@ -76,7 +76,7 @@ def raw_slot_feasible(members: list[int], inst: Instance) -> bool:
     """SINR check in the raw power-ratio form with linear powers.
 
     Computes received powers c_l*len^alpha/d^alpha directly and compares
-    signal against beta*(interference + noise) per link.
+    beta*interference against signal - beta*noise per link.
     """
     p = inst.params
     ok = True
@@ -91,8 +91,8 @@ def raw_slot_feasible(members: list[int], inst: Instance) -> bool:
             den = asym_distance(inst, w, v) ** p.alpha
             received.append(math.inf if den == 0.0 else power_w / den)
         received.sort()
-        rhs = p.beta * (sum(received) + p.noise)
-        if not rel_leq(rhs, signal):
+        # noise leaves signal - beta*noise for interference, as in the package
+        if not rel_leq(p.beta * sum(received), signal - p.beta * p.noise):
             ok = False
     return ok
 
@@ -333,25 +333,12 @@ def validate_instance_reference(inst: Instance, check_triangle: bool = True) -> 
             message = f"link {i} has length inf, beyond the float range"
             out.append(Diagnostic("error", "infinite-length-link", message))
 
-    if params.c_l <= params.beta * params.noise:
-        out.append(
-            Diagnostic(
-                "error",
-                "singleton-infeasible",
-                f"c_l = {params.c_l!r} must exceed beta*noise = "
-                f"{params.beta * params.noise!r}; even a singleton slot is infeasible",
-            )
-        )
-    bound = params.alpha_condition_bound()
-    if params.alpha <= bound:
-        out.append(
-            Diagnostic(
-                "warning",
-                "alpha-condition",
-                f"alpha = {params.alpha!r} <= m/(m+1-ceil(m)) = {bound!r}; "
-                "the greedy feasibility guarantee does not apply",
-            )
-        )
+    budget = params.budget_problem()
+    if budget is not None:
+        out.append(Diagnostic("error", "singleton-infeasible", budget))
+    alpha = params.alpha_problem()
+    if alpha is not None:
+        out.append(Diagnostic("warning", "alpha-condition", alpha))
     if params.beta <= 1:
         out.append(
             Diagnostic(

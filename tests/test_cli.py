@@ -356,9 +356,10 @@ def test_link_node_out_of_range_exit_2(tmp_path, capsys, sender):
     assert "node" in capsys.readouterr().err
 
 
-def _two_links_at(tmp_path, points):
+def _two_links_at(tmp_path, points, **params):
+    """Links 0 -> 1 and 2 -> 3 on ``points``, saved; alpha 3 and beta 2 unless given."""
     path = tmp_path / "inst.json"
-    params = PhysicalParams(alpha=3.0, beta=2.0)
+    params = PhysicalParams(**{"alpha": 3.0, "beta": 2.0, **params})
     inst = Instance(EuclideanMetric(points=points), [0, 2], [1, 3], params)
     path.write_text(save_instance(inst))
     return path
@@ -560,3 +561,82 @@ def test_many_triangle_violations_give_one_bounded_line(tmp_path, capsys):
     )
     assert captured.err.count("(triple ") == 3
     assert not (tmp_path / "sched.json").exists()
+
+
+def _one_slot_schedule(tmp_path):
+    path = tmp_path / "sched.json"
+    path.write_text(save_schedule(Schedule(slots=(frozenset({0, 1}),))))
+    return str(path)
+
+
+def test_tiny_beta_is_singleton_infeasible_exit_2(tmp_path, capsys):
+    # 1/beta is inf, so the affectance budget is inf and a +inf term passes it
+    points = ((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2.0, 0.0))
+    inst = str(_two_links_at(tmp_path, points, beta=1e-310))
+    problem = PhysicalParams(alpha=3.0, beta=1e-310).budget_problem()
+    out = str(tmp_path / "out.json")
+    for argv in (
+        ["verify", "--in", inst, "--sched", _one_slot_schedule(tmp_path)],
+        ["schedule", "--in", inst, "--c", "2", "--out", out],
+        ["schedule", "--in", inst, "--c", "auto", "--out", out],
+        ["exact", "--in", inst, "--out", out],
+    ):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"[singleton-infeasible] {problem}" in captured.err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_noise_near_the_budget_verifies_infeasible(tmp_path, capsys):
+    # noise leaves 2e-6 of c_l for interference; the load 1.00001e-6 on each
+    # unit link exceeds the affectance budget 1e-6 by 1e-5 of it
+    inst = str(_two_links_at(
+        tmp_path, ((0.0,), (1.0,), (100.99966666978068,), (99.99966666978068,)),
+        noise=0.499999, m=1.0,
+    ))
+    argv = ["verify", "--in", inst, "--sched", _one_slot_schedule(tmp_path)]
+    code, out = run_ok(capsys, argv)
+    assert code == 1
+    assert _strict_json(out)["verdict"] == "infeasible"
+    argv = ["schedule", "--in", inst, "--c", "1.0001", "--out", str(tmp_path / "s.json")]
+    code, out = run_ok(capsys, argv)
+    assert code == 1 and _strict_json(out)["feasible"] is False
+
+
+@pytest.mark.parametrize(
+    "m, alpha, warns",
+    [
+        ("2.8326609203314046", "3.401938113300654", True),
+        ("3.1591140592118623", "19.854399258367636", False),
+    ],
+)
+def test_alpha_condition_warning_agrees_with_constants(tmp_path, capsys, m, alpha, warns):
+    points = ((0.0, 0.0), (1.0, 0.0), (100.0, 0.0), (101.0, 0.0))
+    inst = _two_links_at(tmp_path, points, alpha=float(alpha), m=float(m))
+    diags = validate_instance(load_instance(inst.read_text()))
+    warning = [d.message for d in diags if d.code == "alpha-condition"]
+    assert cli.run(["constants", "--alpha", alpha, "--beta", "2", "--m", m]) == (2 if warns else 0)
+    err = capsys.readouterr().err
+    assert warning == ([err.removeprefix("error: ").rstrip("\n")] if warns else [])
+    auto = ["schedule", "--in", str(inst), "--c", "auto", "--out", str(tmp_path / "s.json")]
+    assert cli.run(auto) == (2 if warns else 0)
+    err = capsys.readouterr().err
+    if warns:
+        assert err == f"warning [alpha-condition]: {warning[0]}\nerror: {warning[0]}\n"
+    else:
+        assert err == ""
+
+
+def test_repeated_id_in_a_slot_exit_2(tmp_path, capsys):
+    # two far-apart links; the schedule names link 0 twice in its first slot
+    inst = _two_links_at(tmp_path, ((0.0, 0.0), (1.0, 0.0), (100.0, 0.0), (101.0, 0.0)))
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps({"schema": "sinr-linsched/1", "slots": [[0, 0], [1]]}))
+    for argv in (
+        ["verify", "--in", str(inst), "--sched", str(sched)],
+        ["bound", "--in", str(inst), "--sched", str(sched), "--c", "4"],
+    ):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: slots[0] repeats link id 0\n"

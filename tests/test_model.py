@@ -213,8 +213,14 @@ def test_validate_alpha_condition_warning():
     huge_m = Instance(
         inst.metric, inst.senders, inst.receivers, PhysicalParams(alpha=3.0, beta=2.0, m=1e17)
     )
-    assert huge_m.params.alpha_condition_bound() == 1e17
-    assert [x.code for x in validate_instance(huge_m)] == ["alpha-condition"]
+    assert validate_instance(huge_m) == [
+        Diagnostic(
+            "warning",
+            "alpha-condition",
+            "alpha*(m+1-ceil(m)) = 3.0 must exceed m = 1e+17 (alpha = 3.0); "
+            "the greedy feasibility guarantee does not apply",
+        )
+    ]
 
 
 def test_validate_link_id_and_range_errors():
@@ -529,6 +535,7 @@ _SCHEDULE_CASES = [
     (_SCHEDULE, ("slots", 0), 0, "field 'slots[0]' must be a JSON array"),
     (_SCHEDULE, ("slots", 0, 0), 0.5, "field 'slots[0]' must be an integer, got 0.5"),
     (_SCHEDULE, ("slots", 0, 0), None, "field 'slots[0]' must be an integer, got None"),
+    (_SCHEDULE, ("slots",), [[1], [0, 2, 0]], "slots[1] repeats link id 0"),
 ]
 
 

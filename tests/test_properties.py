@@ -1,6 +1,7 @@
 """Property tests: bit-exact JSON round trips, validation against its
 per-offender reference, invariance under relabelling links, the subset table
-against slot feasibility, and CLI exit codes on fuzzed instance documents.
+against slot feasibility, the raw-SINR cross-check at the edge of small
+budgets, and CLI exit codes on fuzzed instance documents.
 Hypothesis runs derandomized with few examples, so the suite stays
 deterministic and fast.
 """
@@ -11,10 +12,11 @@ import contextlib
 import copy
 import io
 import json
+import math
 import sys
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linsched import (
@@ -22,12 +24,13 @@ from linsched import (
     Instance,
     PhysicalParams,
     cli,
+    kernel,
     load_instance,
     save_instance,
     validate_instance,
 )
 from linsched.bounds import interference_measure
-from linsched.model import MatrixMetric
+from linsched.model import REL_TOL, InternalError, MatrixMetric
 from linsched.oracle import subset_table
 from linsched.sinr import slot_feasible
 
@@ -193,6 +196,72 @@ def test_subset_table_downward_closed_and_matches_slots(data):
     for mask in data.draw(st.lists(st.integers(1, len(feasible) - 1), min_size=1, max_size=8)):
         members = [v for v in range(inst.n) if mask >> v & 1]
         assert feasible[mask] == slot_feasible(members, inst).feasible
+
+
+# ---------------------------------------------------------------------------
+# Slots whose worst load sits at the affectance threshold, with noise using
+# up all but a small part of the budget.
+
+
+def _worst_load(inst: Instance) -> float:
+    """The largest affectance on a link of the slot that holds every link."""
+    links = np.arange(inst.n)
+    t = kernel.terms(inst, links, inst.receivers)
+    t[links, links] = 0.0
+    return float(kernel.ascending_sums(t).max())
+
+
+@st.composite
+def budget_edge_slots(draw) -> tuple[Instance, float]:
+    """A valid instance whose relative budget 1 - beta*noise/c_l is drawn from
+    1 down to 1e-7, with each sender moved along its link until the worst
+    load of the full slot is thr*(1 + eps); returns it and that load."""
+    n = draw(st.integers(2, 6))
+    cells = draw(st.lists(st.integers(0, 35), min_size=n, max_size=n, unique=True))
+    receivers = 10.0 * np.array([divmod(cell, 6) for cell in cells], dtype=float)
+    angle = np.array(draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n)))
+    length = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    offsets = length[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    beta = draw(st.sampled_from((1.5, 2.0, 3.0)))
+    c_l = draw(st.sampled_from((1.0, 2.5)))
+    budget = draw(st.sampled_from((1.0, 1e-2, 1e-4, 1e-6, 1e-7)))
+    params = PhysicalParams(
+        alpha=draw(st.sampled_from((2.5, 3.0, 4.0))),
+        beta=beta,
+        noise=(1.0 - budget) * c_l / beta,
+        c_l=c_l,
+    )
+    eps = draw(st.sampled_from((0.0, 1e-9, -1e-9, 1e-8, -1e-8, 1e-6, -1e-6)))
+    target = params.affectance_threshold() * (1.0 + eps)
+    nodes = 2 * np.arange(n)
+    scale = 1.0
+    for _ in range(40):  # the load grows about as scale**alpha
+        points = np.empty((2 * n, 2))
+        points[0::2], points[1::2] = receivers + scale * offsets, receivers
+        inst = Instance(EuclideanMetric(points=points), nodes, nodes + 1, params)
+        load = _worst_load(inst)
+        if load == target:
+            break
+        scale *= (target / load) ** (1.0 / params.alpha)
+    assume(abs(load / target - 1.0) <= 1e-12)
+    return inst, load
+
+
+@settings(FIXED, max_examples=300)
+@given(budget_edge_slots())
+def test_cross_check_agrees_at_small_budgets(case):
+    inst, load = case
+    p = inst.params
+    assert [d for d in validate_instance(inst) if d.severity == "error"] == []
+    try:
+        slot_feasible(range(inst.n), inst)
+    except InternalError:
+        # Only a load on the edge of the band itself may split the two forms.
+        # Each form rounds its own budget, by up to an ulp of 1/beta and of
+        # noise/c_l relative to thr, and its own loads, by a few dozen ulps.
+        thr = p.affectance_threshold()
+        window = sys.float_info.epsilon * ((1 / p.beta + p.noise / p.c_l) / thr + 64)
+        assert abs(load / (thr * (1 + REL_TOL)) - 1) <= window
 
 
 # ---------------------------------------------------------------------------

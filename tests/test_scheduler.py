@@ -5,12 +5,15 @@ import math
 import pytest
 
 from linsched import (
+    EuclideanMetric,
     GenSpec,
+    Instance,
     PhysicalParams,
     SchedulerConfig,
     greedy_schedule,
     random_euclidean,
     schedule_feasible,
+    validate_instance,
 )
 from linsched.gen import collocated, spread
 from linsched.scheduler import compute_c, compute_c0
@@ -20,32 +23,49 @@ from reference import admission_trace_ok, greedy_schedule_reference, separation_
 
 def test_compute_c0_closed_form_values():
     # hand-evaluated: 3^3 * (2*2)^(3/2) * 3/(3-2) and 3^4 * (2*2)^(4/2) * 4/(4-2)
-    assert compute_c0(3.0, 1.0, 2.0) == 648.0
-    assert compute_c0(4.0, 1.0, 2.0) == 2592.0
+    assert compute_c0(PhysicalParams(alpha=3.0, beta=2.0, K=1.0, m=2.0)) == 648.0
+    assert compute_c0(PhysicalParams(alpha=4.0, beta=2.0, K=1.0, m=2.0)) == 2592.0
 
 
 def test_compute_c0_alpha_condition_error():
     with pytest.raises(ValueError, match="alpha"):
-        compute_c0(2.0, 1.0, 2.0)
+        compute_c0(PhysicalParams(alpha=2.0, beta=2.0, K=1.0, m=2.0))
     # non-integer m shifts the bound: m=1.5 needs alpha > 3
     with pytest.raises(ValueError, match="alpha"):
-        compute_c0(2.5, 1.0, 1.5)
-    assert compute_c0(3.5, 1.0, 1.5) > 0
+        compute_c0(PhysicalParams(alpha=2.5, beta=2.0, K=1.0, m=1.5))
+    assert compute_c0(PhysicalParams(alpha=3.5, beta=2.0, K=1.0, m=1.5)) > 0
 
 
 def test_compute_c_threshold_values():
-    assert compute_c(3.0, 2.0, 1.0, 2.0) == pytest.approx(
+    assert compute_c(PhysicalParams(alpha=3.0, beta=2.0)) == pytest.approx(
         (2.0 * 649.0) ** (1.0 / 3.0) + 3.0, rel=1e-12
     )
-    assert compute_c(4.0, 2.0, 1.0, 2.0) == pytest.approx(
+    assert compute_c(PhysicalParams(alpha=4.0, beta=2.0)) == pytest.approx(
         (2.0 * 2593.0) ** (1.0 / 4.0) + 3.0, rel=1e-12
     )
-    # shrinking beta_eff drives c toward 3 from above
-    assert compute_c(3.0, 1e-12, 1.0, 2.0) > 3.0
-    assert compute_c(3.0, 1e-12, 1.0, 2.0) == pytest.approx(3.0, abs=1e-3)
+    # shrinking beta_eff = 1/(1/beta - noise/c_l) drives c toward 3 from above
+    tiny = PhysicalParams(alpha=3.0, beta=1e-12)
+    assert compute_c(tiny) > 3.0
+    assert compute_c(tiny) == pytest.approx(3.0, abs=1e-3)
     # c0 = 648 is finite, but beta_eff * (c0 + 1) overflows
     with pytest.raises(ValueError, match="overflow"):
-        compute_c(3.0, 1e306, 1.0, 2.0)
+        compute_c(PhysicalParams(alpha=3.0, beta=1e306))
+    # no budget left: the reason is the one validation reports
+    for params in (
+        PhysicalParams(alpha=3.0, beta=2.0, noise=0.5),  # beta*noise = c_l
+        PhysicalParams(alpha=3.0, beta=1e-310),  # 1/beta is inf
+        # within an ulp of c_l = beta*noise, where one of the two forms of the
+        # budget is positive and the other is not
+        PhysicalParams(alpha=3.0, beta=3.7397093054149, noise=0.6423946750021581,
+                       c_l=2.4023693438545513),
+        PhysicalParams(alpha=3.0, beta=4.514583552517121, noise=0.2804171273178167,
+                       c_l=1.2659665508331148),
+    ):
+        with pytest.raises(ValueError) as exc:
+            compute_c(params)
+        assert str(exc.value) == params.budget_problem()
+        inst = Instance(EuclideanMetric(points=[[0.0], [1.0]]), [0], [1], params)
+        assert "singleton-infeasible" in [d.code for d in validate_instance(inst)]
 
 
 def test_scheduler_config_validation():

@@ -8,6 +8,7 @@ import pytest
 from linsched import EuclideanMetric, Instance, PhysicalParams, schedule_feasible, sinr
 from linsched.gen import SplitMix64, collocated
 from linsched.model import InternalError, MatrixMetric, Schedule
+from linsched.scheduler import compute_c
 from linsched.sinr import slot_feasible
 
 import reference as ref
@@ -130,7 +131,7 @@ def test_noise_tightens_threshold():
     quiet = PhysicalParams(alpha=3.0, beta=2.0, noise=0.0, c_l=1.0)
     noisy = PhysicalParams(alpha=3.0, beta=2.0, noise=0.4, c_l=1.0)
     assert noisy.affectance_threshold() < quiet.affectance_threshold()
-    assert noisy.effective_beta() > quiet.effective_beta()
+    assert compute_c(noisy) > compute_c(quiet)
     inst_q = make_random_instance(seed=9, n=6, box=6.0, params=quiet)
     inst_n = make_random_instance(seed=9, n=6, box=6.0, params=noisy)
     # identical geometry, so any slot feasible under noise is feasible quiet
