@@ -41,11 +41,19 @@ def dist(inst: Instance, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     metric = inst.metric
     if isinstance(metric, MatrixMetric):
         return metric.d[np.ix_(P, Q)]
-    a, b = metric.points[P], metric.points[Q]
+    return euclid(metric.points[P][:, None], metric.points[Q][None, :])
+
+
+def euclid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the points a[..., :] and b[..., :], broadcast.
+
+    Pass sender positions as ``a`` and evaluation points as ``b``: every
+    distance of the package is taken in that order.
+    """
     with np.errstate(over="ignore"):  # points farther apart than the float range are at inf
-        d = np.abs(a[:, None, 0] - b[None, :, 0])
-        for k in range(1, metric.dim):
-            d = np.hypot(d, a[:, None, k] - b[None, :, k])
+        d = np.abs(a[..., 0] - b[..., 0])
+        for k in range(1, a.shape[-1]):
+            d = np.hypot(d, a[..., k] - b[..., k])
     return d
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from linsched import GenSpec, Instance, PhysicalParams, kernel, random_euclidean
+from linsched import GenSpec, Instance, PhysicalParams, bounds, kernel, random_euclidean
 from linsched.model import MatrixMetric
 from linsched.gen import SplitMix64
 
@@ -27,6 +29,13 @@ def affectance_on(inst: Instance, v: int, members) -> float:
     """Affectance on link v from ``members`` (v excluded), summed by the package kernel."""
     W = np.array([w for w in members if w != v], dtype=np.intp)
     return float(kernel.ascending_sums(kernel.terms(inst, W, inst.receivers[[v]]))[0])
+
+
+def full_scan_measure(members, inst: Instance) -> tuple[float, int]:
+    """``interference_measure`` with every node's upper bound at +inf: the full scan."""
+    unbounded = lambda inst, W, nodes: np.full(len(nodes), np.inf)  # noqa: E731
+    with mock.patch.object(bounds, "_upper_bounds", unbounded):
+        return bounds.interference_measure(members, inst)
 
 
 def line_pseudometric(seed: int, n: int = 12) -> Instance:

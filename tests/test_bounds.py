@@ -5,19 +5,22 @@ import pytest
 
 from linsched import (
     EuclideanMetric,
+    GenSpec,
     Instance,
     PhysicalParams,
     SchedulerConfig,
     bound_report,
+    bounds,
     greedy_schedule,
     kernel,
+    random_euclidean,
 )
 from linsched.bounds import interference_measure
-from linsched.gen import collocated
+from linsched.gen import SplitMix64, collocated
 from linsched.model import Schedule
 
 import reference as ref
-from conftest import make_random_instance
+from conftest import full_scan_measure, line_pseudometric, make_random_instance
 
 
 def line_instance(params):
@@ -144,3 +147,128 @@ def test_argmax_tie_break_smallest_node(params):
     inst = collocated(2, params)
     _, node = interference_measure(range(2), inst)
     assert node == 0
+
+
+# ---------------------------------------------------------------------------
+# The grid-pruned measure against the full scan and the scalar reference.
+
+PARAMS = PhysicalParams(alpha=3.0, beta=2.0)
+
+
+def _links(points, senders, receivers) -> Instance:
+    return Instance(EuclideanMetric(points=points), senders, receivers, PARAMS)
+
+
+def _pairs(points) -> Instance:
+    """Links 2i -> 2i+1 over ``points``."""
+    nodes = 2 * np.arange(len(points) // 2)
+    return _links(points, nodes, nodes + 1)
+
+
+def _random_points(n: int, box: float, seed: int, dim: int = 2) -> np.ndarray:
+    """n links as sender/receiver rows: senders uniform in [0, box]^dim,
+    receivers 1 to 2 away in a random direction."""
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(n):
+        s = np.array([rng.uniform(0.0, box) for _ in range(dim)])
+        step = np.array([rng.uniform(-1.0, 1.0) for _ in range(dim)]) + 1e-3
+        out += [s, s + rng.uniform(1.0, 2.0) * step / np.linalg.norm(step)]
+    return np.array(out)
+
+
+def clustered() -> Instance:
+    # two dense clusters, 40 and 25 senders in one fine cell each, and a
+    # sparse background
+    return _pairs(np.concatenate((
+        _random_points(40, 3.0, seed=1),
+        _random_points(25, 2.0, seed=2) + (300.0, 40.0),
+        _random_points(30, 400.0, seed=3),
+    )))
+
+
+def line_of_links(dim: int) -> Instance:
+    xs = [[10.0 * i, 10.0 * i + 1.0 + (i % 3) / 2.0] for i in range(40)]
+    return _pairs([[x] + [0.0] * (dim - 1) for x in np.ravel(xs)])
+
+
+def huge_span() -> Instance:
+    # cell indices beyond 2^52, and differences beyond the float range (inf)
+    rows = []
+    for x in (0.0, 1e300, -1e300, 1e308, -1e308, 3.0):
+        rows += [[x, 0.0], [x, 1.5]]
+    return _pairs(rows)
+
+
+def duplicated() -> Instance:
+    # every link twice over, on distinct nodes at the same coordinates
+    pts = _random_points(30, 60.0, seed=4)
+    return _pairs(np.concatenate((pts, pts)))
+
+
+def shared_nodes() -> Instance:
+    # link 1 sends from link 0's receiver node, link 2 from a separate node
+    # at link 1's receiver position: two +inf terms, each capped to 1
+    points = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.5], [1.0, 1.5], [2.5, 1.5], [30.0, 0.0], [31.0, 0.0]]
+    return _links(points, [0, 1, 3, 5], [1, 2, 4, 6])
+
+
+def beyond_the_near_block() -> Instance:
+    # with lmax = 2 the fine cells are 32 wide: the receiver at 250 sits in
+    # cell 7, near the end of its 8-cell coarse cell, and link 1's sender
+    # at 290 lies two cells on, in the next coarse cell, 40 away
+    return _pairs([[248.0, 0.0], [250.0, 0.0], [290.0, 0.0], [292.0, 0.0]])
+
+
+CASES = {
+    "beyond-near-block": (beyond_the_near_block, None),
+    "clustered": (clustered, None),
+    "line-2d": (lambda: line_of_links(2), None),
+    "line-1d": (lambda: line_of_links(1), None),
+    "points-3d": (lambda: _pairs(_random_points(40, 20.0, seed=5, dim=3)), None),
+    "huge-span": (huge_span, None),
+    "duplicated": (duplicated, None),
+    "shared-nodes": (shared_nodes, None),
+    "subset": (lambda: make_random_instance(seed=6, n=60, box=60.0), range(0, 60, 3)),
+    "matrix": (lambda: line_pseudometric(seed=3), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_pruned_measure_is_the_full_scan_and_the_reference(case, monkeypatch):
+    make, members = CASES[case]
+    inst = make()
+    members = range(inst.n) if members is None else members
+    expected = ref.interference_measure(members, inst)
+    assert full_scan_measure(members, inst) == expected
+    for block in (kernel.BLOCK, 1, 40):  # small blocks stop the scan early
+        monkeypatch.setattr(kernel, "BLOCK", block)
+        assert interference_measure(members, inst) == expected
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_upper_bounds_cover_every_node(case, monkeypatch):
+    make, members = CASES[case]
+    inst = make()
+    W = np.arange(inst.n) if members is None else np.array(members)
+    nodes = inst.used_nodes()
+    exact = np.minimum(kernel.terms(inst, W, nodes), 1.0).sum(axis=0)
+    monkeypatch.setattr(kernel, "BLOCK", 1)  # so that one exact block never holds every node
+    upper = bounds._upper_bounds(inst, W, nodes)
+    assert (exact <= upper).all()
+    # only the matrix metric and the huge span leave the grid
+    assert np.isinf(upper).all() == (case in ("matrix", "huge-span"))
+
+
+def test_no_bounds_when_one_exact_block_holds_every_node(monkeypatch):
+    inst = make_random_instance(seed=1, n=50, box=100.0)
+    W, nodes = np.arange(inst.n), inst.used_nodes()
+    assert len(nodes) * len(W) == 5000
+    for block, bounded in ((kernel.BLOCK, False), (5000, False), (4999, True)):
+        monkeypatch.setattr(kernel, "BLOCK", block)
+        assert np.isfinite(bounds._upper_bounds(inst, W, nodes)).all() == bounded
+
+
+def test_pruned_measure_at_n_3000():
+    inst = random_euclidean(GenSpec(n=3000, params=PARAMS, box=100.0 * 60**0.5, seed=1))
+    assert interference_measure(range(inst.n), inst) == full_scan_measure(range(inst.n), inst)
