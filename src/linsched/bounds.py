@@ -28,8 +28,10 @@ grid bounds them cheaply away from a node:
   left out has a smaller value, so ties still go to the smallest index.
 
 Instances small enough that one block of the exact pass holds every node,
-matrix metrics, dimensions other than 1 to 3 and coordinates the grid cannot
-index get the bound +inf everywhere, and the same loop sums every node.
+matrix metrics, dimensions other than 1 to 3, coordinates the grid cannot
+index and dense clusters, where the near field holds more than half of all
+(sender, node) pairs, get the bound +inf everywhere, and the same loop sums
+every node.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ def _upper_bounds(inst: Instance, W: np.ndarray, nodes: np.ndarray) -> np.ndarra
 
     +inf everywhere, which makes ``interference_measure`` a full scan, when
     one block of the exact pass holds every node (no bound could skip one),
-    the metric is a matrix, the dimension is not 1 to 3, or the grid cannot
-    index the points.
+    the metric is a matrix, the dimension is not 1 to 3, the grid cannot
+    index the points, or the near field holds more than half of all pairs.
     """
     unbounded = np.full(len(nodes), np.inf)
     if next(kernel.blocks(len(nodes), len(W))).stop == len(nodes):
@@ -121,6 +123,10 @@ def _upper_bounds(inst: Instance, W: np.ndarray, nodes: np.ndarray) -> np.ndarra
     row_ids = node_ids[:, None] + rows @ radix[1:]
     starts = np.searchsorted(sorted_ids, row_ids - 1, side="left")
     counts = np.searchsorted(sorted_ids, row_ids + 1, side="right") - starts
+    # A near pair costs about two exact terms (a gather, a mask and the
+    # term): past half the full scan's pairs, the bound costs more than it saves.
+    if 2 * int(counts.sum()) > len(nodes) * len(W):
+        return unbounded
     alpha = inst.params.alpha
     near = np.zeros(len(nodes))
     for cols in kernel.blocks(len(nodes), int(counts.max()) * metric.dim):

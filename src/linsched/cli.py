@@ -9,6 +9,7 @@ exception).  All output is deterministic given identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -208,6 +209,7 @@ def _add_instance_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # built once per process; parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linsched",

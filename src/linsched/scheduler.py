@@ -89,23 +89,41 @@ def _processing_order(inst: Instance) -> np.ndarray:
 
 
 def greedy_schedule(inst: Instance, cfg: SchedulerConfig) -> Schedule:
-    """First-fit greedy over length-sorted links.
+    """First-fit greedy over length-sorted links, a block of positions at a time.
 
-    For each link, one kernel column gives the terms of every link placed
-    before it, and a bincount over their slots gives the load on it in every
-    slot at once.  Loads add up in placement order.
+    For each block of the processing order, one kernel block gives the terms
+    of every link placed up to the block's end on the block's receivers.  A
+    bincount over slot*width + column adds up the terms of the links placed
+    before the block, each bin in placement order; inside the block, each
+    placement adds its row of terms to its slot's loads on the later columns.
+    Every load is thus its slot's terms added one by one in placement order.
     """
+    n = inst.n
+    if n == 0:
+        return Schedule(slots=())
     thr = cfg.admit_threshold(inst.params.alpha)
     order = _processing_order(inst)
-    slot_of = np.empty(inst.n, dtype=np.intp)  # slot of the link at each position
+    links, receivers = order.tolist(), inst.receivers[order]
+    spans = list(kernel.blocks(n, n))
+    width = spans[0].stop
+    slot_bins = np.arange(n)[:, None] * width + np.arange(width)  # row k: the bins of slot k
+    bin_of = np.empty((n, width), dtype=np.intp)  # the bins of the link at each position
     slots: list[list[int]] = []
-    for i, v in enumerate(order.tolist()):
-        column = kernel.terms(inst, order[:i], inst.receivers[v : v + 1])[:, 0]
-        loads = np.bincount(slot_of[:i], weights=column, minlength=len(slots))
-        fits = np.flatnonzero(kernel.rel_leq(loads, thr))
-        k = int(fits[0]) if len(fits) else len(slots)
-        if k == len(slots):
-            slots.append([])
-        slots[k].append(v)
-        slot_of[i] = k
+    for span in spans:
+        a, b = span.start, span.stop
+        T = kernel.terms(inst, order[:b], receivers[span])
+        loads = np.bincount(
+            bin_of[:a, : b - a].ravel(), T[:a].ravel(), minlength=(len(slots) + b - a) * width
+        )  # integer zeros when a = 0
+        loads = loads.astype(np.float64, copy=False).reshape(-1, width)  # new slots' rows: 0.0
+        for i, v in enumerate(links[span], a):
+            c = i - a
+            # First fit; the next new slot, at load 0.0 <= thr, always fits.
+            k = int(kernel.rel_leq(loads[: len(slots) + 1, c], thr).argmax())
+            if k == len(slots):
+                slots.append([])
+            slots[k].append(v)
+            if i + 1 < b:
+                loads[k, c + 1 : b - a] += T[i, c + 1 :]
+            bin_of[i] = slot_bins[k]
     return Schedule(slots=tuple(frozenset(slot) for slot in slots))

@@ -5,6 +5,9 @@ These are the loops the package used before every term moved to
 verdicts, schedules and argmax nodes exactly, values at a tight relative
 tolerance (Euclidean distances here come from ``math.dist``, in the kernel
 from ``np.hypot``).  Distances are read one pair at a time by ``dist``.
+``greedy_schedule_columns`` is the greedy scheduler's former loop, one
+kernel column per link; ``greedy_schedule``, a block of columns at a time,
+must match it slot for slot.
 ``optimal_schedule_reference`` is the exact oracle's former O(3^n)
 submask dynamic program, over the package's own subset table.
 ``validate_instance_reference`` is validation as it was when it returned one
@@ -19,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from linsched import EuclideanMetric, Instance, SchedulerConfig
+from linsched import EuclideanMetric, Instance, SchedulerConfig, kernel
 from linsched.model import REL_TOL, Diagnostic, MatrixMetric, Schedule
 from linsched.oracle import subset_table
 from linsched.scheduler import _processing_order
@@ -151,6 +154,30 @@ def greedy_schedule_reference(inst: Instance, cfg: SchedulerConfig) -> Schedule:
                 break
         else:
             slots.append([v])
+    return Schedule(slots=tuple(frozenset(slot) for slot in slots))
+
+
+def greedy_schedule_columns(inst: Instance, cfg: SchedulerConfig) -> Schedule:
+    """First-fit greedy with one kernel column and one bincount per link.
+
+    For each link, the column holds the terms of every link placed before it,
+    and the bincount over their slots adds up the load in every slot at once,
+    in placement order.  The package takes a block of columns at a time and
+    must admit every link exactly as this loop does.
+    """
+    thr = cfg.admit_threshold(inst.params.alpha)
+    order = _processing_order(inst)
+    slot_of = np.empty(inst.n, dtype=np.intp)  # slot of the link at each position
+    slots: list[list[int]] = []
+    for i, v in enumerate(order.tolist()):
+        column = kernel.terms(inst, order[:i], inst.receivers[v : v + 1])[:, 0]
+        loads = np.bincount(slot_of[:i], weights=column, minlength=len(slots))
+        fits = np.flatnonzero(kernel.rel_leq(loads, thr))
+        k = int(fits[0]) if len(fits) else len(slots)
+        if k == len(slots):
+            slots.append([])
+        slots[k].append(v)
+        slot_of[i] = k
     return Schedule(slots=tuple(frozenset(slot) for slot in slots))
 
 

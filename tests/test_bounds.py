@@ -208,9 +208,15 @@ def duplicated() -> Instance:
 
 def shared_nodes() -> Instance:
     # link 1 sends from link 0's receiver node, link 2 from a separate node
-    # at link 1's receiver position: two +inf terms, each capped to 1
+    # at link 1's receiver position: two +inf terms, each capped to 1; a
+    # sparse background keeps the near field below half of all pairs
     points = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.5], [1.0, 1.5], [2.5, 1.5], [30.0, 0.0], [31.0, 0.0]]
-    return _links(points, [0, 1, 3, 5], [1, 2, 4, 6])
+    background = 7 + 2 * np.arange(30)
+    return _links(
+        np.concatenate((points, _random_points(30, 400.0, seed=3))),
+        np.concatenate(([0, 1, 3, 5], background)),
+        np.concatenate(([1, 2, 4, 6], background + 1)),
+    )
 
 
 def beyond_the_near_block() -> Instance:
@@ -225,7 +231,7 @@ CASES = {
     "clustered": (clustered, None),
     "line-2d": (lambda: line_of_links(2), None),
     "line-1d": (lambda: line_of_links(1), None),
-    "points-3d": (lambda: _pairs(_random_points(40, 20.0, seed=5, dim=3)), None),
+    "points-3d": (lambda: _pairs(_random_points(40, 60.0, seed=5, dim=3)), None),
     "huge-span": (huge_span, None),
     "duplicated": (duplicated, None),
     "shared-nodes": (shared_nodes, None),
@@ -267,6 +273,26 @@ def test_no_bounds_when_one_exact_block_holds_every_node(monkeypatch):
     for block, bounded in ((kernel.BLOCK, False), (5000, False), (4999, True)):
         monkeypatch.setattr(kernel, "BLOCK", block)
         assert np.isfinite(bounds._upper_bounds(inst, W, nodes)).all() == bounded
+
+
+def test_one_dense_cluster_takes_the_full_scan(monkeypatch):
+    # every sender is near every node, so the bound would sum the full scan
+    inst = random_euclidean(GenSpec(n=300, params=PARAMS, box=4.0, seed=1))
+    W, nodes = np.arange(inst.n), inst.used_nodes()
+    monkeypatch.setattr(kernel, "BLOCK", 1)
+    assert np.isinf(bounds._upper_bounds(inst, W, nodes)).all()
+    assert interference_measure(W, inst) == full_scan_measure(W, inst)
+
+
+def test_bounds_while_the_near_field_is_at_most_half_of_all_pairs(monkeypatch):
+    # two clusters far apart: each node has its own cluster's senders near
+    cluster = _random_points(10, 3.0, seed=7)
+    monkeypatch.setattr(kernel, "BLOCK", 1)
+    for extra, bounded in ((0, True), (1, False)):  # half of all pairs, then just over
+        inst = _pairs(np.concatenate((cluster, cluster[: 2 * extra] + 0.5, cluster + 500.0)))
+        W, nodes = np.arange(inst.n), inst.used_nodes()
+        assert np.isfinite(bounds._upper_bounds(inst, W, nodes)).all() == bounded
+        assert interference_measure(W, inst) == full_scan_measure(W, inst)
 
 
 def test_pruned_measure_at_n_3000():

@@ -1,8 +1,10 @@
 """Property tests: bit-exact JSON round trips, validation against its
-per-offender reference, invariance under relabelling links and under scaling
-by a power of two, the grid-pruned interference measure against the full
-scan, the subset table against slot feasibility, the raw-SINR cross-check at
-the edge of small budgets, and CLI exit codes on fuzzed instance documents.
+per-offender reference, invariance under relabelling links (verdicts, and
+the greedy schedule on tie-free lengths) and under scaling by a power of
+two, the blocked greedy against one kernel column per link, the grid-pruned
+interference measure against the full scan, the subset table against slot
+feasibility, the raw-SINR cross-check at the edge of small budgets, and CLI
+exit codes on fuzzed instance documents.
 Hypothesis runs derandomized with few examples, so the suite stays
 deterministic and fast.
 """
@@ -36,12 +38,13 @@ from linsched import (
     validate_instance,
 )
 from linsched.bounds import interference_measure
+from linsched.gen import collocated, spread
 from linsched.model import MatrixMetric
 from linsched.oracle import subset_table
 from linsched.sinr import slot_feasible
 
-from conftest import affectance_on, full_scan_measure
-from reference import aggregate_per_code, validate_instance_reference
+from conftest import affectance_on, full_scan_measure, line_pseudometric, make_random_instance
+from reference import aggregate_per_code, greedy_schedule_columns, validate_instance_reference
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -152,13 +155,18 @@ def test_validation_of_symmetric_matrices_is_the_reference_aggregated(inst):
 
 
 @st.composite
-def grid_instances(draw, max_links: int = 6) -> Instance:
+def grid_instances(draw, max_links: int = 6, clusters: int = 1) -> Instance:
+    """Links on a 9x9 grid, or on ``clusters`` x ``clusters`` such grids 128
+    apart, beyond each other's near field in the grid-pruned measure."""
     n = draw(st.integers(1, max_links))
     coord = st.integers(0, 8)
     step = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda s: s != (0, 0))
     points = []
     for _ in range(n):
         x, y = draw(coord), draw(coord)
+        if clusters > 1:
+            x += 128 * draw(st.integers(0, clusters - 1))
+            y += 128 * draw(st.integers(0, clusters - 1))
         dx, dy = draw(step)
         points += [(x, y), (x + dx, y + dy)]
     params = PhysicalParams(
@@ -192,6 +200,54 @@ def test_relabelling_links_permutes_verdicts(data):
 
 @FIXED
 @given(st.data())
+def test_relabelling_tie_free_links_permutes_the_greedy_schedule(data):
+    inst = make_random_instance(
+        seed=data.draw(st.integers(0, 999)),
+        n=data.draw(st.integers(1, 40)),
+        box=data.draw(st.sampled_from((5.0, 20.0, 60.0))),
+    )
+    assume(len(np.unique(inst.lengths)) == inst.n)  # ties go to the smaller id
+    perm = data.draw(st.permutations(range(inst.n)))  # new link j is old link perm[j]
+    relabelled = Instance(inst.metric, inst.senders[perm], inst.receivers[perm], inst.params)
+    new_id = {old: new for new, old in enumerate(perm)}
+    cfg = SchedulerConfig(c=data.draw(st.sampled_from((1.5, 4.0, 14.0))))
+    with mock.patch.object(kernel, "BLOCK", data.draw(st.sampled_from((8, kernel.BLOCK)))):
+        before, after = greedy_schedule(inst, cfg), greedy_schedule(relabelled, cfg)
+    assert after.slots == tuple(frozenset(new_id[v] for v in slot) for slot in before.slots)
+
+
+# Instances with many slots, length ties or zero distances, up to 40 links.
+greedy_instances = st.one_of(
+    grid_instances(max_links=20),
+    st.builds(line_pseudometric, st.integers(0, 999), st.integers(1, 30)),
+    st.builds(collocated, st.integers(1, 40), st.just(PhysicalParams(alpha=3.0, beta=2.0))),
+    st.builds(
+        spread,
+        st.integers(1, 40),
+        st.sampled_from((1.5, 4.0, 10.0)),
+        st.just(PhysicalParams(alpha=3.0, beta=2.0)),
+    ),
+    st.builds(
+        make_random_instance,
+        seed=st.integers(0, 999),
+        n=st.integers(1, 40),
+        box=st.sampled_from((5.0, 20.0, 60.0)),
+    ),
+)
+
+
+@settings(FIXED, max_examples=100)
+@given(greedy_instances, st.sampled_from((1, 8, 64, kernel.BLOCK)), st.sampled_from((1.5, 4.0, "auto")))
+def test_blocked_greedy_is_the_column_loop(inst, block, c):
+    # small blocks split even 20 links into many blocks
+    cfg = SchedulerConfig.auto(inst.params) if c == "auto" else SchedulerConfig(c=c)
+    with mock.patch.object(kernel, "BLOCK", block):
+        blocked = greedy_schedule(inst, cfg)
+    assert blocked == greedy_schedule_columns(inst, cfg)
+
+
+@FIXED
+@given(st.data())
 def test_subset_table_downward_closed_and_matches_slots(data):
     inst = data.draw(grid_instances(max_links=8))
     feasible = subset_table(inst).feasible
@@ -204,9 +260,11 @@ def test_subset_table_downward_closed_and_matches_slots(data):
         assert feasible[mask] == slot_feasible(members, inst).feasible
 
 
-@settings(FIXED, max_examples=30)
+@settings(FIXED, max_examples=60)
 @given(
-    st.booleans().flatmap(instances) | grid_instances(max_links=12),
+    st.booleans().flatmap(instances)
+    | grid_instances(max_links=12)
+    | grid_instances(max_links=12, clusters=4),  # sparse enough for finite bounds
     st.sampled_from((1, 8, kernel.BLOCK)),
 )
 def test_pruned_measure_is_the_full_scan(inst, block):
@@ -218,7 +276,7 @@ def test_pruned_measure_is_the_full_scan(inst, block):
 
 
 @settings(FIXED, max_examples=20)
-@given(grid_instances(max_links=12), st.sampled_from((2.0**-20, 0.125, 2.0, 2.0**30)))
+@given(grid_instances(max_links=12, clusters=4), st.sampled_from((2.0**-20, 0.125, 2.0, 2.0**30)))
 def test_scaling_by_a_power_of_two_changes_nothing(inst, scale):
     scaled = Instance(
         EuclideanMetric(points=inst.metric.points * scale), inst.senders, inst.receivers,

@@ -18,7 +18,12 @@ from linsched import (
 from linsched.gen import collocated, spread
 from linsched.scheduler import compute_c, compute_c0
 from conftest import make_random_instance
-from reference import admission_trace_ok, greedy_schedule_reference, separation_violations
+from reference import (
+    admission_trace_ok,
+    greedy_schedule_columns,
+    greedy_schedule_reference,
+    separation_violations,
+)
 
 
 def test_compute_c0_closed_form_values():
@@ -116,6 +121,15 @@ def test_incremental_matches_naive_reference(params):
         assert greedy_schedule(inst, cfg) == greedy_schedule_reference(inst, cfg)
     one = make_random_instance(seed=0, n=1)
     assert greedy_schedule(one, cfg) == greedy_schedule_reference(one, cfg)
+
+
+@pytest.mark.parametrize("n", [129, 300, 1000])
+@pytest.mark.parametrize("c", ["4", "auto"])
+def test_blocked_greedy_matches_one_column_per_link(params, n, c):
+    # 127, 54 and 16 links per block: the last block is short at each size
+    inst = random_euclidean(GenSpec(n=n, params=params, box=100.0 * math.sqrt(n / 50), seed=1))
+    cfg = SchedulerConfig.auto(params) if c == "auto" else SchedulerConfig(c=float(c))
+    assert greedy_schedule(inst, cfg) == greedy_schedule_columns(inst, cfg)
 
 
 def test_greedy_is_deterministic(params):
