@@ -296,14 +296,19 @@ def _check_matrix(metric: MatrixMetric, check_triangle: bool) -> list[Diagnostic
         # Tolerance is absolute after normalizing the largest distance to 1.
         tol = REL_TOL * max(float(np.abs(d).max(initial=0.0)), 1.0)
         count, triples = 0, []
-        for p in range(n):
-            with np.errstate(over="ignore"):  # a sum beyond the float range is inf
-                via = d[p][:, None] + d  # via[q, r] = d(p,q) + d(q,r)
+        via = np.empty_like(d)
+        with np.errstate(over="ignore"):  # a sum beyond the float range is inf
+            for p in range(n):
+                np.add(d[p][:, None], d, out=via)  # via[q, r] = d(p,q) + d(q,r)
+                # Rounded x + tol is monotone in x, so d(p,r) > via[q, r] + tol for some q
+                # iff d(p,r) > min_q via[q, r] + tol; q = p never counts, as d(p,p) = 0.
+                if not (d[p] > via.min(axis=0) + tol).any():
+                    continue
                 over = d[p] > via + tol
-            over[p] = False
-            count += int(np.count_nonzero(over))
-            if len(triples) < 3:  # _summary names the first three
-                triples += [(p, q, r) for q, r in np.argwhere(over)[:3]]
+                over[p] = False
+                count += int(np.count_nonzero(over))
+                if len(triples) < 3:  # _summary names the first three
+                    triples += [(p, q, r) for q, r in np.argwhere(over)[:3]]
         out += _summary(
             "error", "triangle-violation", triples,
             lambda p, q, r: f"d({p},{r}) = {float(d[p, r])!r} exceeds "

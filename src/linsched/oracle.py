@@ -69,10 +69,23 @@ def subset_table(inst: Instance, cap: int = DEFAULT_CAP) -> SubsetTable:
     The links split into the w lowest bits and the rest, with 2^w * n about
     ``kernel.BLOCK``.  Each half gets its load table once, a bit matrix times
     the term matrix, with -inf as the load on the links outside the half's
-    mask so that they always pass.  Each high pattern then adds its load row
-    to the whole low table, which gives every member's affectance in one
-    block of 2^w consecutive masks.  Rounded addition is monotone, so the
-    table stays downward closed.
+    mask so that they never count.  A group of high patterns then adds its
+    load rows to the whole low table, which gives every member's affectance
+    in 2^w consecutive masks per pattern, and keeps each mask's largest load.
+    A group holds ``BLOCK // (w * 2^(w-1))`` patterns (seven at n = 17 to 20,
+    three at 13 to 16), about a kernel block of member loads on the low
+    links, each of which is in half the low masks: a block of one pattern
+    costs as much in per-call overhead as in additions.
+    Rounded addition is monotone, so the table stays downward closed.
+
+    A mask passes when its largest load x has x <= g(x) = thr + REL_TOL *
+    max(x, |thr|), rounded as written.  That is the verdict of the test on
+    every member: x is one of their loads, and each smaller load y passes
+    when x does.  With thr > 0, y <= thr passes as g(y) >= thr; above thr,
+    REL_TOL * y moves by far less than an ulp of thr across the band
+    (thr, g(x)], so g(x) is at most the float after g(y), and
+    g(y) < y < x <= g(x) cannot hold.  With thr <= 0, a load passes only at
+    0 when thr = 0, and never otherwise.
     """
     n = inst.n
     _check_cap(n, cap)
@@ -80,23 +93,16 @@ def subset_table(inst: Instance, cap: int = DEFAULT_CAP) -> SubsetTable:
     if n == 0:
         return SubsetTable(feasible=np.ones(1, dtype=bool))
     t = _term_matrix(inst)
-    w = min(n, (kernel.BLOCK // n).bit_length() - 1)
+    w = min(n, max(1, (kernel.BLOCK // n).bit_length() - 1))
     lo_bits, hi_bits = _bit_matrix(w), _bit_matrix(n - w)
     lo_load = (lo_bits @ t[:w]).T.copy()  # lo_load[v, i]: load on v from low mask i
     lo_load[:w][lo_bits.T == 0] = -np.inf
     hi_load = hi_bits @ t[w:]  # hi_load[h, v]: load on v from high mask h
     hi_load[:, w:][hi_bits == 0] = -np.inf
     feasible = np.empty((len(hi_load), 1 << w), dtype=bool)
-    load, tol = np.empty_like(lo_load), np.empty_like(lo_load)
-    ok = np.empty(lo_load.shape, dtype=bool)
-    for h, hi_row in enumerate(hi_load):
-        np.add(lo_load, hi_row[:, None], out=load)
-        # members' loads are >= 0: this is thr + REL_TOL * max(|load|, |thr|)
-        np.maximum(load, abs(thr), out=tol)
-        tol *= REL_TOL
-        tol += thr
-        np.less_equal(load, tol, out=ok)
-        np.all(ok, axis=0, out=feasible[h])
+    for hs in kernel.blocks(len(hi_load), w << (w - 1)):
+        top = (lo_load + hi_load[hs, :, None]).max(axis=1)  # -inf for the empty mask
+        np.less_equal(top, thr + REL_TOL * np.maximum(top, abs(thr)), out=feasible[hs])
     return SubsetTable(feasible=feasible.reshape(-1))
 
 

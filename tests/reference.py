@@ -10,6 +10,9 @@ kernel column per link; ``greedy_schedule``, a block of columns at a time,
 must match it slot for slot.
 ``optimal_schedule_reference`` is the exact oracle's former O(3^n)
 submask dynamic program, over the package's own subset table.
+``subset_table_elementwise`` is the subset table's former loop, which tests
+every member's load against the threshold; ``subset_table`` tests only the
+largest load of each mask and must give the same table bit for bit.
 ``validate_instance_reference`` is validation as it was when it returned one
 diagnostic per offender, and ``aggregate_per_code`` folds that list into
 the one diagnostic per code that ``validate_instance`` returns.
@@ -24,7 +27,7 @@ import numpy as np
 
 from linsched import EuclideanMetric, Instance, SchedulerConfig, kernel
 from linsched.model import REL_TOL, Diagnostic, MatrixMetric, Schedule
-from linsched.oracle import subset_table
+from linsched.oracle import _bit_matrix, _check_cap, _term_matrix, subset_table
 from linsched.scheduler import _processing_order
 
 
@@ -256,6 +259,38 @@ def optimal_schedule_reference(inst: Instance) -> Schedule:
         slots.append(frozenset(v for v in range(n) if sub >> v & 1))
         mask ^= sub
     return Schedule(slots=tuple(slots))
+
+
+def subset_table_elementwise(inst: Instance, cap: int) -> np.ndarray:
+    """The feasibility bit of every link subset, one high pattern at a time.
+
+    Same split and same half-table loads as ``subset_table``; each pattern
+    adds its load row to the low table and every member's load is tested.
+    """
+    n = inst.n
+    _check_cap(n, cap)
+    thr = inst.params.affectance_threshold()
+    if n == 0:
+        return np.ones(1, dtype=bool)
+    t = _term_matrix(inst)
+    w = min(n, max(1, (kernel.BLOCK // n).bit_length() - 1))
+    lo_bits, hi_bits = _bit_matrix(w), _bit_matrix(n - w)
+    lo_load = (lo_bits @ t[:w]).T.copy()
+    lo_load[:w][lo_bits.T == 0] = -np.inf
+    hi_load = hi_bits @ t[w:]
+    hi_load[:, w:][hi_bits == 0] = -np.inf
+    feasible = np.empty((len(hi_load), 1 << w), dtype=bool)
+    load, tol = np.empty_like(lo_load), np.empty_like(lo_load)
+    ok = np.empty(lo_load.shape, dtype=bool)
+    for h, hi_row in enumerate(hi_load):
+        np.add(lo_load, hi_row[:, None], out=load)
+        # members' loads are >= 0: this is thr + REL_TOL * max(|load|, |thr|)
+        np.maximum(load, abs(thr), out=tol)
+        tol *= REL_TOL
+        tol += thr
+        np.less_equal(load, tol, out=ok)
+        np.all(ok, axis=0, out=feasible[h])
+    return feasible.reshape(-1)
 
 
 def _check_matrix_reference(metric: MatrixMetric, check_triangle: bool) -> list[Diagnostic]:

@@ -4,7 +4,14 @@ import itertools
 
 import pytest
 
-from linsched import build_reduction, validate_instance, verify_reduction
+from linsched import (
+    SchedulerConfig,
+    build_reduction,
+    greedy_schedule,
+    optimal_schedule,
+    validate_instance,
+    verify_reduction,
+)
 from linsched.hardness import metric_complete, pad_partition
 from linsched.model import MatrixMetric
 from linsched.oracle import partition_solve
@@ -230,3 +237,19 @@ def test_verify_reduction_respects_cap():
     assert rep.equivalence_ok is None
     assert "skipped" in rep.notes
     assert rep.identity_ok  # the algebraic check still runs
+
+
+@pytest.mark.parametrize("alpha, beta", [(3.0, 2.0), (4.0, 3.0)])
+def test_reductions_pin_the_gap_of_one_half(alpha, beta):
+    # Every multiset of 1-4 values from 1-5 (125 inputs, up to 14 links): a
+    # "yes" input needs two slots and a "no" input exactly three, never more:
+    # telling 2 from 3 decides PARTITION, so no polynomial-time algorithm
+    # approximates within a factor below 3/2 unless P = NP.
+    lengths = {True: set(), False: set()}
+    for k in range(1, 5):
+        for a in itertools.combinations_with_replacement(range(1, 6), k):
+            inst = build_reduction(list(a), alpha=alpha, beta=beta).instance
+            optimal = optimal_schedule(inst).length
+            lengths[partition_solve(list(a)) is not None].add(optimal)
+            assert greedy_schedule(inst, SchedulerConfig.auto(inst.params)).length >= optimal
+    assert lengths == {True: {2}, False: {3}}

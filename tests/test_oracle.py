@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,18 +10,21 @@ from linsched import (
     Instance,
     PhysicalParams,
     SchedulerConfig,
+    build_reduction,
     greedy_schedule,
+    kernel,
     optimal_schedule,
     oracle,
     schedule_feasible,
 )
 from linsched.gen import SplitMix64, collocated, spread
+from linsched.hardness import pad_partition
 from linsched.model import InternalError, MatrixMetric
 from linsched.oracle import partition_solve, subset_table, two_slot_decision
 from linsched.sinr import slot_feasible
 
-from conftest import line_pseudometric, make_random_instance
-from reference import optimal_schedule_reference
+from conftest import affectance_on, line_pseudometric, make_random_instance
+from reference import optimal_schedule_reference, subset_table_elementwise
 
 
 def test_single_link_needs_one_slot(params):
@@ -91,6 +95,46 @@ def test_subset_table_matches_slot_feasible(params):
             mask = 1 + int(rng.random() * ((1 << 8) - 1))
             members = [v for v in range(8) if mask >> v & 1]
             assert table.feasible[mask] == slot_feasible(members, inst).feasible
+
+
+def _noisy(noise: float) -> Instance:
+    inst = make_random_instance(seed=4, n=10, box=8.0)
+    return Instance(inst.metric, inst.senders, inst.receivers,
+                    PhysicalParams(alpha=3.0, beta=2.0, noise=noise))
+
+
+ELEMENTWISE_CASES = {
+    # two-slot splits load an end link with 1/beta, the threshold itself
+    **{f"reduction-{'-'.join(map(str, a))}": build_reduction(a, 3.0, 2.0).instance
+       for a in ([1, 1], [1, 2, 3], [2, 2, 4])},
+    "reduction-alpha4-beta3": build_reduction([1, 2, 3], 4.0, 3.0).instance,
+    **{f"collocated-{k}": collocated(k, PARAMS) for k in (3, 7)},  # +inf terms
+    "spread-6": spread(6, 1.0, PARAMS),
+    "noise-0.1": _noisy(0.1),
+    "budget-0": _noisy(0.5),  # thr = 0: only loads of exactly 0 pass
+    "budget-below-0": _noisy(0.6),
+    "pseudometric": line_pseudometric(1, n=9),
+}
+
+
+def test_reduction_split_loads_an_end_link_at_the_threshold():
+    for a in ([1, 1], [1, 2, 3], [2, 2, 4]):
+        inst = ELEMENTWISE_CASES[f"reduction-{'-'.join(map(str, a))}"]
+        half = [1 + i for i in partition_solve(pad_partition(a))]
+        load = affectance_on(inst, 0, [0, *half])
+        assert load == pytest.approx(inst.params.affectance_threshold(), rel=1e-14)
+
+
+@pytest.mark.parametrize("block", (1, 8, 64, kernel.BLOCK))
+@pytest.mark.parametrize("name", list(ELEMENTWISE_CASES))
+def test_subset_table_is_the_elementwise_loop(name, block):
+    # small blocks split the high patterns into many groups
+    inst = ELEMENTWISE_CASES[name]
+    with mock.patch.object(kernel, "BLOCK", block):
+        table = subset_table(inst, 20).feasible
+        expected = subset_table_elementwise(inst, 20)
+    assert table.dtype == expected.dtype == bool
+    assert np.array_equal(table, expected)
 
 
 def test_subset_table_downward_closed(params):

@@ -1,10 +1,11 @@
 """Property tests: bit-exact JSON round trips, validation against its
-per-offender reference, invariance under relabelling links (verdicts, and
-the greedy schedule on tie-free lengths) and under scaling by a power of
-two, the blocked greedy against one kernel column per link, the grid-pruned
-interference measure against the full scan, the subset table against slot
-feasibility, the raw-SINR cross-check at the edge of small budgets, and CLI
-exit codes on fuzzed instance documents.
+per-offender reference (also with triangle violations at the edge of the
+tolerance), invariance under relabelling links (verdicts, and the greedy
+schedule on tie-free lengths) and under scaling points or matrix entries by
+a power of two, the blocked greedy against one kernel column per link, the
+grid-pruned interference measure against the full scan, the subset table
+against slot feasibility, the raw-SINR cross-check at the edge of small
+budgets, and CLI exit codes on fuzzed instance documents.
 Hypothesis runs derandomized with few examples, so the suite stays
 deterministic and fast.
 """
@@ -29,17 +30,19 @@ from linsched import (
     PhysicalParams,
     SchedulerConfig,
     bounds,
+    build_reduction,
     cli,
     greedy_schedule,
     kernel,
     load_instance,
+    optimal_schedule,
     save_instance,
     schedule_feasible,
     validate_instance,
 )
 from linsched.bounds import interference_measure
 from linsched.gen import collocated, spread
-from linsched.model import MatrixMetric
+from linsched.model import REL_TOL, MatrixMetric
 from linsched.oracle import subset_table
 from linsched.sinr import slot_feasible
 
@@ -146,6 +149,33 @@ def symmetric_matrix_instances(draw) -> Instance:
 @FIXED
 @given(symmetric_matrix_instances())
 def test_validation_of_symmetric_matrices_is_the_reference_aggregated(inst):
+    _assert_validation_matches_reference(inst)
+
+
+@st.composite
+def triangle_edge_matrices(draw) -> Instance:
+    """Line metrics |x_p - x_q| * scale, some scaled so far that a sum of two
+    entries overflows to inf, with one pair (p, r) moved to
+    d(p,q) + d(q,r) + tol*(1 + eps), at the edge of the triangle tolerance."""
+    n_nodes = draw(st.integers(3, 8))
+    xs = np.array(draw(st.lists(st.integers(0, 9), min_size=n_nodes, max_size=n_nodes)), float)
+    scale = draw(st.sampled_from((1.0, 0.1, 3.0, 1e300, sys.float_info.max / 10)))
+    d = np.abs(xs[:, None] - xs) * scale
+    last = n_nodes - 1
+    p = draw(st.just(last) | st.integers(0, last))  # often a lone violation in the last row
+    r = draw(st.integers(0, last).filter(lambda r: r != p))
+    q = draw(st.integers(0, last).filter(lambda q: q not in (p, r)))
+    eps = draw(st.sampled_from((0.0, 1e-9, -1e-9, 2e-9, -2e-9, 1e-6, -0.5)))
+    for _ in range(3):  # tol follows the largest entry, which may be d(p,r) itself
+        tol = REL_TOL * max(float(d.max()), 1.0)
+        edge = float(d[p, q]) + float(d[q, r]) + tol * (1.0 + eps)  # Python floats overflow quietly
+        d[p, r] = d[r, p] = min(edge, sys.float_info.max)
+    return Instance(MatrixMetric(d=d), [0], [1], PhysicalParams(alpha=3.0, beta=2.0))
+
+
+@settings(FIXED, max_examples=200)
+@given(triangle_edge_matrices())
+def test_triangle_scan_at_the_tolerance_edge_is_the_reference(inst):
     _assert_validation_matches_reference(inst)
 
 
@@ -294,6 +324,37 @@ def test_scaling_by_a_power_of_two_changes_nothing(inst, scale):
     sched = greedy_schedule(inst, cfg)
     assert greedy_schedule(scaled, cfg) == sched
     assert schedule_feasible(sched, scaled) == schedule_feasible(sched, inst)
+
+
+def _as_matrix(inst: Instance) -> Instance:
+    """The same links over the Euclidean distances of their nodes, as a matrix."""
+    points = inst.metric.points
+    return Instance(MatrixMetric(d=kernel.euclid(points[:, None], points[None, :])),
+                    inst.senders, inst.receivers, inst.params)
+
+
+matrix_instances = st.one_of(
+    grid_instances(max_links=8).map(_as_matrix),
+    st.builds(line_pseudometric, st.integers(0, 999), st.integers(1, 10)),  # +inf terms
+    st.lists(st.integers(1, 5), min_size=1, max_size=3).map(
+        lambda a: build_reduction(a, 3.0, 2.0).instance
+    ),
+)
+
+
+@settings(FIXED, max_examples=30)
+@given(matrix_instances, st.sampled_from((2.0**-20, 0.125, 2.0, 2.0**30)))
+def test_scaling_a_matrix_by_a_power_of_two_changes_nothing(inst, scale):
+    scaled = Instance(MatrixMetric(d=inst.metric.d * scale), inst.senders, inst.receivers,
+                      inst.params)
+    W = np.arange(inst.n)
+    assert interference_measure(W, scaled) == interference_measure(W, inst)
+    greedy = greedy_schedule(inst, SchedulerConfig.auto(inst.params))
+    assert greedy_schedule(scaled, SchedulerConfig.auto(inst.params)) == greedy
+    optimal = optimal_schedule(inst)
+    assert optimal_schedule(scaled) == optimal
+    for sched in (greedy, optimal):
+        assert schedule_feasible(sched, scaled) == schedule_feasible(sched, inst)
 
 
 # ---------------------------------------------------------------------------
