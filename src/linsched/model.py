@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -443,29 +444,41 @@ def _reject_unknown(obj: dict, allowed, where: str) -> None:
             raise FormatError(f"unknown field '{key}' in {where}")
 
 
-def _number_rows(rows: list, name: str, width: int | None, expected: str) -> list[list[float]]:
-    """The rows of the array ``name`` as lists of floats.
+def _number_rows(rows: list, name: str, width: int | None, expected: str) -> np.ndarray:
+    """The rows of the array ``name`` as one float array.
 
     Every row must hold ``width`` numbers, or as many as the first row when
     ``width`` is None; ``expected.format(width)`` ends the message otherwise.
+    The whole array is checked at once; only a rejected one is walked row by
+    row, to name its first offender.
     """
-    out = []
+    if width is None and rows and type(rows[0]) is list:
+        width = len(rows[0])
+    if all(type(row) is list and len(row) == width for row in rows) and set(
+        map(type, chain.from_iterable(rows))
+    ) <= {float, int}:  # bool is neither
+        try:
+            arr = np.array(rows, np.float64)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+        else:
+            if np.isfinite(arr).all():
+                return arr
     for i, row in enumerate(rows):
         where = f"{name}[{i}]"
         row = _checked(row, list, where)
-        if width is None:
-            width = len(row)
         if len(row) != width:
             raise FormatError(f"{where} has {len(row)} {expected.format(width)}")
-        out.append([_checked(x, float, where) for x in row])
-    return out
+        for x in row:
+            _checked(x, float, where)
+    raise InternalError(f"{name}: the array check rejected what the row walk accepts")
 
 
 def _document(text: str, where: str, allowed: set[str]) -> dict:
     """The JSON object in ``text``, of this schema and with ``allowed`` fields only."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal beyond Python's digit limit
         raise FormatError(f"invalid JSON in {where}: {exc}") from None
     if not isinstance(doc, dict):
         raise FormatError(f"{where} must be a JSON object")
@@ -476,14 +489,59 @@ def _document(text: str, where: str, allowed: set[str]) -> dict:
     return doc
 
 
+_NON_FINITE = (
+    "cannot save a NaN or infinite number, which JSON cannot represent "
+    "(is a coordinate or distance beyond the float range?)"
+)
+
+
 def _dumps(doc: dict) -> str:
-    try:
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        raise FormatError(
-            "cannot save a NaN or infinite number, which JSON cannot represent "
-            "(is a coordinate or distance beyond the float range?)"
-        ) from None
+    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)`` and a newline.
+
+    ``doc`` holds dicts with str keys, lists, 2-D float arrays, ints, floats
+    and strs; FormatError if a number is NaN or infinite.  The text is joined
+    once, from pieces of at most one array row.
+    """
+    out: list[str] = []
+    _encode(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(value, newline: str, out: list[str]) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``newline`` starts each of
+    its lines after the first."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        for k, key in enumerate(sorted(value)):
+            out.append(("," if k else "{") + inner + json.dumps(key) + ": ")
+            _encode(value[key], inner, out)
+        out.append(newline + "}" if value else "{}")
+    elif isinstance(value, list):
+        for k, x in enumerate(value):
+            out.append(("," if k else "[") + inner)
+            _encode(x, inner, out)
+        out.append(newline + "]" if value else "[]")
+    elif isinstance(value, np.ndarray):  # 2-D, of floats
+        # Each distinct number is formatted once.  Distinct means distinct
+        # bits, so -0.0 keeps its sign beside 0.0.
+        if not np.isfinite(value).all():
+            raise FormatError(_NON_FINITE)
+        bits, inverse = np.unique(value.ravel().view(np.int64), return_inverse=True)
+        texts = np.array([float.__repr__(x) for x in bits.view(np.float64).tolist()], dtype=object)
+        entry = inner + "  "
+        for k, row in enumerate(texts[inverse].reshape(value.shape).tolist()):
+            text = "[" + entry + ("," + entry).join(row) + inner + "]" if row else "[]"
+            out.append(("," if k else "[") + inner + text)
+        out.append(newline + "]" if len(value) else "[]")
+    elif isinstance(value, float):  # float.__repr__ also for a numpy float, as json does
+        if not math.isfinite(value):
+            raise FormatError(_NON_FINITE)
+        out.append(float.__repr__(value))
+    elif type(value) is int:  # not a bool, which json writes as true or false
+        out.append(int.__repr__(value))
+    else:  # a str
+        out.append(json.dumps(value))
 
 
 def load_instance(text: str) -> Instance:
@@ -546,10 +604,10 @@ def save_instance(inst: Instance) -> str:
         metric_doc = {
             "type": "euclidean",
             "dim": inst.metric.dim,
-            "points": inst.metric.points.tolist(),
+            "points": inst.metric.points,
         }
     else:
-        metric_doc = {"type": "matrix", "d": inst.metric.d.tolist()}
+        metric_doc = {"type": "matrix", "d": inst.metric.d}
     doc = {
         "schema": SCHEMA,
         "params": asdict(inst.params),

@@ -16,17 +16,32 @@ largest load of each mask and must give the same table bit for bit.
 ``validate_instance_reference`` is validation as it was when it returned one
 diagnostic per offender, and ``aggregate_per_code`` folds that list into
 the one diagnostic per code that ``validate_instance`` returns.
+``save_instance_reference`` and ``save_schedule_reference`` are the JSON
+writers as they were, ``json.dumps`` of plain lists, which the package's own
+encoder must match byte for byte.  ``number_rows_reference`` is the loader's
+former per-number check of a metric array; patched in for
+``model._number_rows``, it makes ``load_instance`` the reference loader.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import asdict
 from typing import Iterable
 
 import numpy as np
 
 from linsched import EuclideanMetric, Instance, SchedulerConfig, kernel
-from linsched.model import REL_TOL, Diagnostic, MatrixMetric, Schedule
+from linsched.model import (
+    REL_TOL,
+    SCHEMA,
+    Diagnostic,
+    FormatError,
+    MatrixMetric,
+    Schedule,
+    _checked,
+)
 from linsched.oracle import _bit_matrix, _check_cap, _term_matrix, subset_table
 from linsched.scheduler import _processing_order
 
@@ -448,4 +463,53 @@ def aggregate_per_code(diags: list[Diagnostic]) -> list[Diagnostic]:
         if len(group) > 1:
             message = f"{len(group)} {severity}s, the first {len(first)}: " + "; ".join(first)
         out.append(Diagnostic(severity, code, message))
+    return out
+
+
+def _dumps_reference(doc: dict) -> str:
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise FormatError(
+            "cannot save a NaN or infinite number, which JSON cannot represent "
+            "(is a coordinate or distance beyond the float range?)"
+        ) from None
+
+
+def save_instance_reference(inst: Instance) -> str:
+    if isinstance(inst.metric, EuclideanMetric):
+        metric_doc = {
+            "type": "euclidean",
+            "dim": inst.metric.dim,
+            "points": inst.metric.points.tolist(),
+        }
+    else:
+        metric_doc = {"type": "matrix", "d": inst.metric.d.tolist()}
+    doc = {
+        "schema": SCHEMA,
+        "params": asdict(inst.params),
+        "metric": metric_doc,
+        "links": [
+            {"id": i, "sender": p, "receiver": q}
+            for i, (p, q) in enumerate(zip(inst.senders.tolist(), inst.receivers.tolist()))
+        ],
+    }
+    return _dumps_reference(doc)
+
+
+def save_schedule_reference(sched: Schedule) -> str:
+    return _dumps_reference({"schema": SCHEMA, "slots": [sorted(slot) for slot in sched.slots]})
+
+
+def number_rows_reference(rows: list, name: str, width: int | None, expected: str) -> list[list[float]]:
+    """Every row checked to be a list of ``width`` numbers, and each number on its own."""
+    out = []
+    for i, row in enumerate(rows):
+        where = f"{name}[{i}]"
+        row = _checked(row, list, where)
+        if width is None:
+            width = len(row)
+        if len(row) != width:
+            raise FormatError(f"{where} has {len(row)} {expected.format(width)}")
+        out.append([_checked(x, float, where) for x in row])
     return out

@@ -561,6 +561,40 @@ def test_loader_bad_json_message_exact():
         )
 
 
+def test_loader_digit_limit_message_exact():
+    # json.loads refuses an integer literal beyond 4300 digits with a bare ValueError
+    digits = "1" * 5000
+    texts = (
+        json.dumps(_INSTANCE).replace("[1.0, 0.0]", f"[{digits}, 0.0]"),
+        json.dumps(_SCHEDULE).replace("[[0]]", f"[[{digits}]]"),
+    )
+    for loader, text, where in zip(
+        (load_instance, load_schedule), texts, ("instance document", "schedule document")
+    ):
+        with pytest.raises(FormatError) as exc:
+            loader(text)
+        assert str(exc.value) == (
+            f"invalid JSON in {where}: Exceeds the limit (4300 digits) for integer string "
+            "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase "
+            "the limit"
+        )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_save_refuses_a_non_finite_last_entry(bad):
+    rows = [[0.0, 1.0], [1.0, bad]]
+    message = (
+        "cannot save a NaN or infinite number, which JSON cannot represent "
+        "(is a coordinate or distance beyond the float range?)"
+    )
+    for metric in (EuclideanMetric(points=rows), MatrixMetric(d=rows)):
+        inst = _pairs(metric, [0], [1])
+        for save in (save_instance, ref.save_instance_reference):
+            with pytest.raises(FormatError) as exc:
+                save(inst)
+            assert str(exc.value) == message
+
+
 def test_loader_accepts_the_unchanged_documents():
     assert load_instance(json.dumps(_INSTANCE)).lengths.tolist() == [1.0]
     assert load_instance(json.dumps(_MATRIX)).lengths.tolist() == [1.0]

@@ -1,11 +1,13 @@
-"""Property tests: bit-exact JSON round trips, validation against its
-per-offender reference (also with triangle violations at the edge of the
-tolerance), invariance under relabelling links (verdicts, and the greedy
-schedule on tie-free lengths) and under scaling points or matrix entries by
-a power of two, the blocked greedy against one kernel column per link, the
-grid-pruned interference measure against the full scan, the subset table
-against slot feasibility, the raw-SINR cross-check at the edge of small
-budgets, and CLI exit codes on fuzzed instance documents.
+"""Property tests: bit-exact JSON round trips, the JSON writer byte for
+byte against ``json.dumps``, the array loader against its per-number check,
+validation against its per-offender reference (also with triangle
+violations at the edge of the tolerance), invariance under relabelling
+links (verdicts, and the greedy schedule on tie-free lengths) and under
+scaling points or matrix entries by a power of two, the blocked greedy
+against one kernel column per link, the grid-pruned interference measure
+against the full scan, the subset table against slot feasibility, the
+raw-SINR cross-check at the edge of small budgets, and CLI exit codes on
+fuzzed instance documents.
 Hypothesis runs derandomized with few examples, so the suite stays
 deterministic and fast.
 """
@@ -21,11 +23,12 @@ import sys
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from linsched import (
     EuclideanMetric,
+    FormatError,
     Instance,
     PhysicalParams,
     SchedulerConfig,
@@ -37,17 +40,26 @@ from linsched import (
     load_instance,
     optimal_schedule,
     save_instance,
+    save_schedule,
     schedule_feasible,
     validate_instance,
 )
+from linsched import model
 from linsched.bounds import interference_measure
 from linsched.gen import collocated, spread
-from linsched.model import REL_TOL, MatrixMetric
+from linsched.model import REL_TOL, MatrixMetric, Schedule
 from linsched.oracle import subset_table
 from linsched.sinr import slot_feasible
 
 from conftest import affectance_on, full_scan_measure, line_pseudometric, make_random_instance
-from reference import aggregate_per_code, greedy_schedule_columns, validate_instance_reference
+from reference import (
+    aggregate_per_code,
+    greedy_schedule_columns,
+    number_rows_reference,
+    save_instance_reference,
+    save_schedule_reference,
+    validate_instance_reference,
+)
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -118,6 +130,97 @@ def test_instance_round_trip_is_bit_exact(inst):
     assert np.array_equal(_bits(old), _bits(new))
     assert np.array_equal(_bits(_param_values(inst.params)), _bits(_param_values(again.params)))
     assert save_instance(again) == text
+
+
+# Integer-valued floats, written as 3.0 or, from 1e16 on, as 1e+16.
+whole = st.integers(-(2**60), 2**60).map(float) | st.sampled_from((1e16, 1e22, 2.0**53))
+
+
+@st.composite
+def files_to_write(draw) -> Instance:
+    """Euclidean points in 1-3 dimensions or a matrix, most entries drawn from
+    a few values (both zeros among them), with no nodes or no links at times."""
+    n_nodes = draw(st.integers(0, 6))
+    pool = draw(st.lists(finite | whole, min_size=1, max_size=4)) + [0.0, -0.0]
+    value = st.sampled_from(pool) | finite | whole
+    matrix = draw(st.booleans())
+    width = n_nodes if matrix else draw(st.integers(1, 3))
+    rows = [draw(st.lists(value, min_size=width, max_size=width)) for _ in range(n_nodes)]
+    metric = MatrixMetric(d=rows) if matrix else EuclideanMetric(points=rows)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_nodes), st.integers(0, n_nodes)), max_size=4))
+    senders, receivers = [p for p, _ in pairs], [q for _, q in pairs]
+    return Instance(metric=metric, senders=senders, receivers=receivers, params=draw(params))
+
+
+_EXTREMES = [[0.0, -0.0, 5e-324], [-0.0, 1.7976931348623157e308, 0.0], [-5e-324, 0.0, 2.0**53]]
+
+
+@FIXED
+@example(Instance(MatrixMetric(d=_EXTREMES), [0, 1], [1, 2], PhysicalParams(alpha=3.0, beta=2.0)))
+@example(Instance(EuclideanMetric(points=_EXTREMES), [], [], PhysicalParams(alpha=3, beta=True)))
+@example(Instance(MatrixMetric(d=[]), [], [], PhysicalParams(alpha=3.0, beta=2.0)))
+@given(files_to_write())
+def test_save_instance_is_the_json_dumps_text(inst):
+    assert save_instance(inst) == save_instance_reference(inst)
+
+
+@FIXED
+@example(Schedule(slots=()))
+@example(Schedule(slots=(frozenset(),)))
+@given(st.lists(st.frozensets(st.integers(0, 2**70), max_size=5), max_size=4).map(
+    lambda slots: Schedule(slots=tuple(slots))
+))
+def test_save_schedule_is_the_json_dumps_text(sched):
+    assert save_schedule(sched) == save_schedule_reference(sched)
+
+
+# Number literals that break a metric array: non-numbers, a float beyond the
+# range, and integers at and beyond the exact and the float range.
+BAD_NUMBERS = ("true", "null", '"1.0"', "[1.0]", "1e400") + tuple(
+    str(x) for x in (2**53 + 1, 2**63 + 1, 10**308, 10**309)
+)
+
+
+@st.composite
+def number_arrays_to_read(draw) -> str:
+    """An instance document whose points or distance matrix holds at most one
+    bad number and up to two short or long rows, each anywhere."""
+    n_rows = draw(st.integers(1, 5))
+    matrix = draw(st.booleans())
+    width = n_rows if matrix else draw(st.integers(1, 3))
+    rows = [draw(st.lists(finite | st.integers(-3, 3), min_size=width, max_size=width))
+            for _ in range(n_rows)]
+    bad = draw(st.sampled_from((None, *BAD_NUMBERS)))
+    if bad is not None:
+        rows[draw(st.integers(0, n_rows - 1))][draw(st.integers(0, width - 1))] = "@BAD@"
+    for i in draw(st.lists(st.integers(0, n_rows - 1), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            rows[i].append(draw(finite))
+        else:
+            rows[i].pop(draw(st.integers(0, width - 1)))
+    metric = {"type": "matrix", "d": rows} if matrix else {"type": "euclidean", "dim": width, "points": rows}
+    doc = {"schema": "sinr-linsched/1", "params": _PARAMS, "metric": metric, "links": []}
+    return json.dumps(doc).replace('"@BAD@"', str(bad))
+
+
+@settings(FIXED, max_examples=300)
+@given(number_arrays_to_read())
+def test_loader_reads_number_arrays_as_the_reference_does(text):
+    with mock.patch.object(model, "_number_rows", number_rows_reference):
+        try:
+            expected = load_instance(text)
+        except FormatError as exc:
+            expected = str(exc)
+    try:
+        got = load_instance(text)
+    except FormatError as exc:
+        assert str(exc) == expected
+        return
+    assert isinstance(expected, Instance)
+    old, new = (x.metric.d if isinstance(x.metric, MatrixMetric) else x.metric.points
+                for x in (expected, got))
+    assert old.shape == new.shape
+    assert np.array_equal(_bits(old), _bits(new))
 
 
 def _assert_validation_matches_reference(inst: Instance) -> None:
