@@ -63,11 +63,13 @@ def interference_measure(members: Iterable[int], inst: Instance) -> tuple[float,
     nodes = inst.used_nodes()
     bound = _upper_bounds(inst, W, nodes)
     order = np.argsort(-bound, kind="stable")  # ties, and all +inf, in node order
+    S, L = kernel.coords(inst, inst.senders[W]), inst.lengths[W]
+    X = kernel.coords(inst, nodes[order])
     values = np.full(len(nodes), -np.inf)
     best = -np.inf
     for cols in kernel.blocks(len(nodes), len(W)):
         picked = order[cols]
-        t = kernel.terms(inst, W, nodes[picked])
+        t = kernel.terms(inst, S, L, X[cols])
         values[picked] = kernel.ascending_sums(np.minimum(t, 1.0, out=t))  # terms capped at 1
         best = max(best, values[picked].max())
         if cols.stop < len(nodes) and bound[order[cols.stop]] < best:

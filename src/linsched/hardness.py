@@ -214,10 +214,11 @@ def verify_reduction(art: ReductionArtifact, cap: int = DEFAULT_CAP) -> Reductio
     middle = list(range(1, n + 1))
     expected = 2.0 / inst.params.beta
     # Terms of every link on the two end links, 0 and n+1.
-    t = kernel.terms(inst, np.arange(n + 2), inst.receivers[[0, n + 1]])
-    a_first, a_last = kernel.ascending_sums(t[1 : n + 1]).tolist()
+    S, X = kernel.coords(inst, inst.senders), kernel.coords(inst, inst.receivers[[0, n + 1]])
+    t = kernel.terms(inst, S, inst.lengths, X)
+    a_first, a_last = kernel.ascending_sums(t[:, 1 : n + 1]).tolist()
     identity_ok = all(math.isclose(a, expected, rel_tol=REL_TOL) for a in (a_first, a_last))
-    mutual = float(t[0, 1])
+    mutual = float(t[1, 0])
     middle_ok = slot_feasible(middle, inst).feasible
 
     notes = []

@@ -2,22 +2,28 @@
 
 The interference measure, slot feasibility, the greedy scheduler and the
 exact oracle's term matrix are all sums of this one term.  They get it from
-here, a block of terms at a time, computed straight from the instance's
-read-only arrays (``metric.points`` or ``metric.d``, ``Instance.lengths``,
-``senders`` and ``receivers``).  Callers split their work with ``blocks`` so
-that no temporary grows beyond about ``BLOCK`` elements or one column of n
-terms, whatever the instance size.
+here, a block of terms at a time.  Blocks are receiver-major: row j holds
+the terms of every sender on the evaluation point X[j], so each sum runs
+along the contiguous last axis.  A caller gathers what the block reads once,
+in the order it needs, and slices it per block: ``coords`` of the senders
+and of the evaluation points, and the senders' lengths.  For a Euclidean
+metric coordinates are points and ``euclid`` takes the distances; for a
+matrix they are node ids, and each block gathers its rows of the transposed
+matrix, which are small.  Callers split their work with ``blocks`` so that
+no temporary grows beyond about ``BLOCK`` elements or one row of n terms,
+whatever the instance size.
 
 The arithmetic follows the scalar forms it replaced.  Powers use
 ``np.float_power``, which calls the C library ``pow`` as Python's ``**``
 does; ``np.power`` may take a SIMD path that differs in the last bit.
-``ascending_sums`` adds each column left to right in ascending order, as
-``sum(sorted(column))`` does.  Euclidean distances come from ``np.hypot``
+``ascending_sums`` adds each row left to right in ascending order, as
+``sum(sorted(row))`` does.  Euclidean distances come from ``np.hypot``
 and may differ from ``math.dist`` in the last bit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -36,12 +42,24 @@ def blocks(n_items: int, per_item: int) -> Iterator[slice]:
         yield slice(start, min(start + step, n_items))
 
 
-def dist(inst: Instance, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Distances between the nodes P and Q, as a (len(P), len(Q)) block."""
+def coords(inst: Instance, nodes: np.ndarray) -> np.ndarray:
+    """What ``dist`` reads of the nodes: their points, or their ids for a matrix."""
     metric = inst.metric
     if isinstance(metric, MatrixMetric):
-        return metric.d[np.ix_(P, Q)]
-    return euclid(metric.points[P][:, None], metric.points[Q][None, :])
+        return np.asarray(nodes)
+    return metric.points[nodes]
+
+
+def dist(inst: Instance, S: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Block D[j, i] = d(S[i], X[j]) for the ``coords`` S of senders and X of points."""
+    metric = inst.metric
+    if isinstance(metric, MatrixMetric):
+        # Rows of d.T read d[s, x], never d[x, s].  Adding 0.0 turns a -0.0
+        # entry into 0.0, so that a zero distance divides to +inf.
+        D = metric.d.T[np.ix_(X, S)]
+        D += 0.0
+        return D
+    return euclid(S, X[:, None])
 
 
 def euclid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -51,38 +69,46 @@ def euclid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     distance of the package is taken in that order.
     """
     with np.errstate(over="ignore"):  # points farther apart than the float range are at inf
-        d = np.abs(a[..., 0] - b[..., 0])
-        for k in range(1, a.shape[-1]):
-            d = np.hypot(d, a[..., k] - b[..., k])
+        d = a[..., 0] - b[..., 0]
+        if a.shape[-1] == 1:
+            return np.abs(d, out=d)
+        for k in range(1, a.shape[-1]):  # hypot ignores the signs
+            np.hypot(d, a[..., k] - b[..., k], out=d)
     return d
 
 
 def ratio_power(num: np.ndarray, den: np.ndarray, alpha: float) -> np.ndarray:
-    """(num / den)^alpha elementwise; +inf where den is 0 or the power overflows."""
+    """(num / den)^alpha elementwise; +inf where den is 0 or the power overflows.
+
+    ``den`` holds no -0.0, so a positive num over 0 is already +inf.
+    """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = np.float_power(num / den, alpha)
-    out[den == 0.0] = np.inf
+    if not (num > 0.0).all():  # 0/0 is NaN
+        out[den == 0.0] = np.inf
     return out
 
 
-def terms(inst: Instance, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Block T[i, j] = (len_w / d(s_w, x))^alpha for links w = W[i], nodes x = X[j].
+def terms(inst: Instance, S: np.ndarray, L: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Block T[j, i] = (L[i] / d(S[i], X[j]))^alpha, one row per evaluation point.
 
-    Pass ``inst.receivers[V]`` as X for the terms of links W on links V.
+    S and X are ``coords`` of sender and evaluation nodes, and L the senders'
+    link lengths; pass the ``coords`` of ``inst.receivers[V]`` as X for the
+    terms on links V.
     """
-    d = dist(inst, inst.senders[W], X)
-    return ratio_power(inst.lengths[W][:, None], d, inst.params.alpha)
+    return ratio_power(L, dist(inst, S, X), inst.params.alpha)
 
 
 def ascending_sums(T: np.ndarray) -> np.ndarray:
-    """Each column of T summed left to right in ascending order.
+    """Each row of T summed left to right in ascending order.
 
-    Equal bit for bit to ``sum(sorted(column))``: cumulative sums are strictly
+    Equal bit for bit to ``sum(sorted(row))``: cumulative sums are strictly
     sequential, where ``np.sum`` may add pairwise.
     """
-    if len(T) == 0:
-        return np.zeros(T.shape[1])
-    return np.cumsum(np.sort(T, axis=0), axis=0)[-1]
+    if T.shape[-1] == 0:
+        return np.zeros(T.shape[:-1])
+    s = np.sort(T, axis=-1)
+    return np.cumsum(s, axis=-1, out=s)[..., -1]
 
 
 def rel_leq(x, y) -> np.ndarray:
@@ -95,3 +121,22 @@ def rel_leq(x, y) -> np.ndarray:
         diff = x - y
         tol = REL_TOL * np.maximum(np.abs(x), np.abs(y))
         return (x <= y) | (np.isfinite(diff) & (diff <= tol))
+
+
+def rel_leq_cut(y: float) -> float:
+    """The largest float x with ``rel_leq(x, y)``, so that x <= cut is that test.
+
+    ``rel_leq(x, y)`` is monotone in x: above y, x - y grows by an ulp of x
+    per step of x and REL_TOL * max(|x|, |y|) by far less.  The cut lies
+    within a few ulps of y + REL_TOL * |y|, and a few ``nextafter`` steps
+    find it.  An infinite or NaN y is its own cut.
+    """
+    y = float(y)
+    if not math.isfinite(y):
+        return y
+    x = y + REL_TOL * abs(y)
+    while not rel_leq(x, y):
+        x = np.nextafter(x, -np.inf)
+    while rel_leq(np.nextafter(x, np.inf), y):
+        x = np.nextafter(x, np.inf)
+    return float(x)

@@ -478,7 +478,9 @@ def _document(text: str, where: str, allowed: set[str]) -> dict:
     """The JSON object in ``text``, of this schema and with ``allowed`` fields only."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # also an integer literal beyond Python's digit limit
+    # ValueError also covers an integer literal beyond Python's digit limit;
+    # RecursionError, arrays or objects nested beyond the recursion limit.
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid JSON in {where}: {exc}") from None
     if not isinstance(doc, dict):
         raise FormatError(f"{where} must be a JSON object")

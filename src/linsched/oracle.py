@@ -35,7 +35,8 @@ _HUGE = 1e300
 
 def _term_matrix(inst: Instance) -> np.ndarray:
     """T[w, v] = affectance term of link w on link v, diagonals 0."""
-    t = kernel.terms(inst, np.arange(inst.n), inst.receivers)
+    S, X = kernel.coords(inst, inst.senders), kernel.coords(inst, inst.receivers)
+    t = kernel.terms(inst, S, inst.lengths, X).T.copy()  # C-contiguous, as the products expect
     t[np.isinf(t)] = _HUGE
     np.fill_diagonal(t, 0.0)
     return t
@@ -109,11 +110,19 @@ def subset_table(inst: Instance, cap: int = DEFAULT_CAP) -> SubsetTable:
 def _zeta(a: np.ndarray, n: int, op=np.add) -> np.ndarray:
     """In place: a[X] becomes the sum of a[S] over the subsets S of X.
 
-    ``op=np.subtract`` gives the inverse, the Moebius transform.
+    ``op=np.subtract`` gives the inverse, the Moebius transform.  Bits 0 to
+    2 run as 2^k strided 1-D passes, since their pair views would have inner
+    runs of only 1 to 4 elements; the int64 counts are exact either way.
     """
     for k in range(n):
-        pairs = a.reshape(-1, 2, 1 << k)
-        op(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+        if k < 3:
+            step = 2 << k
+            for j in range(1 << k):
+                hi = a[j + (1 << k) :: step]
+                op(hi, a[j::step], out=hi)
+        else:
+            pairs = a.reshape(-1, 2, 1 << k)
+            op(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
     return a
 
 

@@ -91,39 +91,40 @@ def _processing_order(inst: Instance) -> np.ndarray:
 def greedy_schedule(inst: Instance, cfg: SchedulerConfig) -> Schedule:
     """First-fit greedy over length-sorted links, a block of positions at a time.
 
-    For each block of the processing order, one kernel block gives the terms
-    of every link placed up to the block's end on the block's receivers.  A
-    bincount over slot*width + column adds up the terms of the links placed
-    before the block, each bin in placement order; inside the block, each
-    placement adds its row of terms to its slot's loads on the later columns.
-    Every load is thus its slot's terms added one by one in placement order.
+    The sender and receiver coordinates and the lengths are gathered once,
+    in processing order.  For each block of positions, one kernel block gives
+    the terms of every link placed up to the block's end on the block's
+    receivers, a row per receiver.  A bincount over row*slots + slot adds
+    up the terms of the links placed before the block, each bin in placement
+    order; inside the block, each placement adds its terms to its slot's
+    loads on the later receivers.  Every load is thus its slot's terms added
+    one by one in placement order.  A load is admitted when it is at most
+    ``kernel.rel_leq_cut(thr)``, which is the test ``rel_leq(load, thr)``.
     """
     n = inst.n
     if n == 0:
         return Schedule(slots=())
-    thr = cfg.admit_threshold(inst.params.alpha)
+    cut = kernel.rel_leq_cut(cfg.admit_threshold(inst.params.alpha))
     order = _processing_order(inst)
-    links, receivers = order.tolist(), inst.receivers[order]
-    spans = list(kernel.blocks(n, n))
-    width = spans[0].stop
-    slot_bins = np.arange(n)[:, None] * width + np.arange(width)  # row k: the bins of slot k
-    bin_of = np.empty((n, width), dtype=np.intp)  # the bins of the link at each position
+    S = kernel.coords(inst, inst.senders[order])
+    X = kernel.coords(inst, inst.receivers[order])
+    L = inst.lengths[order]
+    links = order.tolist()
+    slot_of = np.empty(n, dtype=np.intp)  # the slot of the link at each position
     slots: list[list[int]] = []
-    for span in spans:
+    for span in kernel.blocks(n, n):
         a, b = span.start, span.stop
-        T = kernel.terms(inst, order[:b], receivers[span])
-        loads = np.bincount(
-            bin_of[:a, : b - a].ravel(), T[:a].ravel(), minlength=(len(slots) + b - a) * width
-        )  # integer zeros when a = 0
-        loads = loads.astype(np.float64, copy=False).reshape(-1, width)  # new slots' rows: 0.0
-        for i, v in enumerate(links[span], a):
-            c = i - a
-            # First fit; the next new slot, at load 0.0 <= thr, always fits.
-            k = int(kernel.rel_leq(loads[: len(slots) + 1, c], thr).argmax())
+        T = kernel.terms(inst, S[:b], L[:b], X[span])  # T[c, i]: position i on position a + c
+        width = len(slots) + b - a  # room for every slot this block can open
+        bins = slot_of[:a] + np.arange(0, (b - a) * width, width)[:, None]
+        loads = np.bincount(bins.ravel(), T[:, :a].ravel(), minlength=(b - a) * width)
+        loads = loads.astype(np.float64, copy=False).reshape(b - a, width)  # a = 0: 0.0
+        for c, v in enumerate(links[span]):
+            # First fit; the next new slot, at load 0.0 <= cut, always fits.
+            k = int((loads[c, : len(slots) + 1] <= cut).argmax())
             if k == len(slots):
                 slots.append([])
             slots[k].append(v)
-            if i + 1 < b:
-                loads[k, c + 1 : b - a] += T[i, c + 1 :]
-            bin_of[i] = slot_bins[k]
+            slot_of[a + c] = k
+            loads[c + 1 :, k] += T[c + 1 :, a + c]
     return Schedule(slots=tuple(frozenset(slot) for slot in slots))

@@ -10,7 +10,11 @@ decoding condition for v inside slot S is equivalent to
 and this additive form is what the scheduler and oracle manipulate.  Every
 slot verdict is double-checked here against the raw power-ratio form of the
 SINR condition; the two must agree unless the worst load lies within rounding
-of the band edge.  All terms come from ``kernel``.
+of the band edge.  All terms come from ``kernel``, a block of member
+receivers at a time, from coordinates gathered once per slot.  The
+affectance loads are sorted sequential sums, as ``sum(sorted(...))`` gives
+them; the raw form, computed on its own from the same distances, adds its
+powers with ``np.sum``, since its bits reach no output.
 
 Terms where the cross distance is zero saturate to +inf, so any slot that
 collocates a sender with a foreign receiver is infeasible.
@@ -54,33 +58,36 @@ def slot_feasible(members: Iterable[int], inst: Instance) -> FeasibilityResult:
         raise ValueError("slot_feasible requires a nonempty slot")
     p = inst.params
     M = np.array(member_list, dtype=np.intp)
-    lengths = inst.lengths[M][:, None]
+    S, X = kernel.coords(inst, inst.senders[M]), kernel.coords(inst, inst.receivers[M])
+    lengths = inst.lengths[M]
     log_lengths = np.log(lengths)
     aff = np.empty(len(M))
     interference = np.empty(len(M))  # raw form: summed received power
-    for cols in kernel.blocks(len(M), len(M)):
-        d = kernel.dist(inst, inst.senders[M], inst.receivers[M[cols]])
-        own = M[:, None] == M[None, cols]
+    for rows in kernel.blocks(len(M), len(M)):
+        d = kernel.dist(inst, S, X[rows])  # d[j, i]: from sender i to receiver rows.start + j
+        own = np.arange(len(d)), np.arange(rows.start, rows.stop)
         t = kernel.ratio_power(lengths, d, p.alpha)
         t[own] = 0.0
-        aff[cols] = kernel.ascending_sums(t)
+        aff[rows] = kernel.ascending_sums(t)
         # Raw form: received power c_l*len_w^alpha / d^alpha of every other
         # sender, in log units so that len_w^alpha and d^alpha cannot overflow
         # into inf/inf.  d = 0 gives log d = -inf and so power +inf.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             r = p.c_l * np.exp(p.alpha * (log_lengths - np.log(d)))
         r[own] = 0.0
-        interference[cols] = kernel.ascending_sums(r)
+        interference[rows] = r.sum(axis=1)
     thr = p.affectance_threshold()
     feasible = bool(kernel.rel_leq(aff, thr).all())
     # A link's own received power is c_l*len^alpha/len^alpha = c_l, and noise
     # leaves c_l - beta*noise of it for interference: this budget is beta*c_l
     # times thr, so the 1e-9 band is the same fraction of the budget in both forms.
     raw_feasible = bool(kernel.rel_leq(p.beta * interference, p.c_l - p.beta * p.noise).all())
-    # Each form rounds its own loads, by a few dozen ulps, and its own budget,
-    # by an ulp of 1/beta and of noise/c_l relative to thr.  So the verdicts
-    # may split only on a worst load within that window of the band edge,
-    # and there the affectance verdict stands.
+    # Each form rounds its own loads, by a few dozen ulps: the affectance
+    # loads are sorted sequential sums, the raw ones pairwise sums (np.sum),
+    # whose rounding grows only as log2 of the slot size.  Each also rounds
+    # its own budget, by an ulp of 1/beta and of noise/c_l relative to thr.
+    # So the verdicts may split only on a worst load within that window of
+    # the band edge, and there the affectance verdict stands.
     window = np.finfo(float).eps * ((1.0 / p.beta + p.noise / p.c_l) / thr + 64)
     near_edge = abs(aff.max() / (thr * (1.0 + REL_TOL)) - 1.0) <= window
     if feasible != raw_feasible and not near_edge:

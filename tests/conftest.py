@@ -20,15 +20,22 @@ def make_random_instance(seed: int, n: int = 8, box: float = 20.0, params=None):
     return random_euclidean(GenSpec(n=n, params=params, box=box, seed=seed))
 
 
+def link_terms(inst: Instance, W, nodes) -> np.ndarray:
+    """The package kernel's block T[j, i]: the term of link W[i] at node nodes[j]."""
+    W = np.asarray(W, dtype=np.intp)
+    S, X = kernel.coords(inst, inst.senders[W]), kernel.coords(inst, np.asarray(nodes, dtype=np.intp))
+    return kernel.terms(inst, S, inst.lengths[W], X)
+
+
 def term_on(inst: Instance, w: int, v: int) -> float:
     """The package kernel's term of link w on link v."""
-    return float(kernel.terms(inst, np.array([w]), inst.receivers[[v]])[0, 0])
+    return float(link_terms(inst, [w], inst.receivers[[v]])[0, 0])
 
 
 def affectance_on(inst: Instance, v: int, members) -> float:
     """Affectance on link v from ``members`` (v excluded), summed by the package kernel."""
-    W = np.array([w for w in members if w != v], dtype=np.intp)
-    return float(kernel.ascending_sums(kernel.terms(inst, W, inst.receivers[[v]]))[0])
+    W = [w for w in members if w != v]
+    return float(kernel.ascending_sums(link_terms(inst, W, inst.receivers[[v]]))[0])
 
 
 def full_scan_measure(members, inst: Instance) -> tuple[float, int]:

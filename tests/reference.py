@@ -6,10 +6,14 @@ verdicts, schedules and argmax nodes exactly, values at a tight relative
 tolerance (Euclidean distances here come from ``math.dist``, in the kernel
 from ``np.hypot``).  Distances are read one pair at a time by ``dist``.
 ``greedy_schedule_columns`` is the greedy scheduler's former loop, one
-kernel column per link; ``greedy_schedule``, a block of columns at a time,
-must match it slot for slot.
+kernel row of terms per link, tested with ``rel_leq`` itself;
+``greedy_schedule``, a block of rows at a time against one precomputed cut,
+must match it slot for slot.  ``slot_feasible_columns`` is slot
+feasibility's former column-major loop, which ``slot_feasible`` must match
+with a bit-equal worst margin.
 ``optimal_schedule_reference`` is the exact oracle's former O(3^n)
-submask dynamic program, over the package's own subset table.
+submask dynamic program, over the package's own subset table, and
+``zeta_reference`` its zeta and Moebius transforms one mask at a time.
 ``subset_table_elementwise`` is the subset table's former loop, which tests
 every member's load against the threshold; ``subset_table`` tests only the
 largest load of each mask and must give the same table bit for bit.
@@ -38,6 +42,7 @@ from linsched.model import (
     SCHEMA,
     Diagnostic,
     FormatError,
+    InternalError,
     MatrixMetric,
     Schedule,
     _checked,
@@ -137,6 +142,63 @@ def slot_feasible(members: Iterable[int], inst: Instance) -> tuple[bool, int, fl
     return feasible, worst_link, worst_margin, per_link
 
 
+def _column_dist(inst: Instance, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The kernel's former distance block D[i, j] = d(P[i], Q[j]), one column per node of Q."""
+    metric = inst.metric
+    if isinstance(metric, MatrixMetric):
+        return metric.d[np.ix_(P, Q)]
+    a, b = metric.points[P][:, None], metric.points[Q][None, :]
+    with np.errstate(over="ignore"):
+        d = np.abs(a[..., 0] - b[..., 0])
+        for k in range(1, a.shape[-1]):
+            d = np.hypot(d, a[..., k] - b[..., k])
+    return d
+
+
+def _column_sums(T: np.ndarray) -> np.ndarray:
+    """The kernel's former ``ascending_sums``: each column, sorted, summed in order."""
+    if len(T) == 0:
+        return np.zeros(T.shape[1])
+    return np.cumsum(np.sort(T, axis=0), axis=0)[-1]
+
+
+def slot_feasible_columns(members: Iterable[int], inst: Instance) -> tuple[bool, int, float]:
+    """(feasible, worst_link, worst_margin): ``sinr.slot_feasible``'s former loop.
+
+    It takes the members' columns (receivers) a block at a time, gathers the
+    senders on every block, masks the own terms by comparing ids and sums
+    both forms, sorted, down the columns.  The package's receiver-major loop
+    must give the same verdict, worst link and margin, bit for bit.
+    """
+    member_list = sorted(set(members))
+    p = inst.params
+    M = np.array(member_list, dtype=np.intp)
+    lengths = inst.lengths[M][:, None]
+    log_lengths = np.log(lengths)
+    aff = np.empty(len(M))
+    interference = np.empty(len(M))
+    for cols in kernel.blocks(len(M), len(M)):
+        d = _column_dist(inst, inst.senders[M], inst.receivers[M[cols]])
+        own = M[:, None] == M[None, cols]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t = np.float_power(lengths / d, p.alpha)
+            r = p.c_l * np.exp(p.alpha * (log_lengths - np.log(d)))
+        t[d == 0.0] = np.inf
+        t[own] = r[own] = 0.0
+        aff[cols] = _column_sums(t)
+        interference[cols] = _column_sums(r)
+    thr = p.affectance_threshold()
+    feasible = bool(kernel.rel_leq(aff, thr).all())
+    raw_feasible = bool(kernel.rel_leq(p.beta * interference, p.c_l - p.beta * p.noise).all())
+    window = np.finfo(float).eps * ((1.0 / p.beta + p.noise / p.c_l) / thr + 64)
+    near_edge = abs(aff.max() / (thr * (1.0 + REL_TOL)) - 1.0) <= window
+    if feasible != raw_feasible and not near_edge:
+        raise InternalError(f"raw SINR and affectance-form verdicts diverged on slot {member_list}")
+    margins = thr - aff
+    worst = int(np.argmin(margins))
+    return feasible, member_list[worst], float(margins[worst])
+
+
 def interference_at(p: int, members: Iterable[int], inst: Instance) -> float:
     terms = []
     for w in members:
@@ -185,10 +247,11 @@ def greedy_schedule_columns(inst: Instance, cfg: SchedulerConfig) -> Schedule:
     """
     thr = cfg.admit_threshold(inst.params.alpha)
     order = _processing_order(inst)
+    S, L = kernel.coords(inst, inst.senders[order]), inst.lengths[order]
     slot_of = np.empty(inst.n, dtype=np.intp)  # slot of the link at each position
     slots: list[list[int]] = []
     for i, v in enumerate(order.tolist()):
-        column = kernel.terms(inst, order[:i], inst.receivers[v : v + 1])[:, 0]
+        column = kernel.terms(inst, S[:i], L[:i], kernel.coords(inst, inst.receivers[v : v + 1]))[0]
         loads = np.bincount(slot_of[:i], weights=column, minlength=len(slots))
         fits = np.flatnonzero(kernel.rel_leq(loads, thr))
         k = int(fits[0]) if len(fits) else len(slots)
@@ -274,6 +337,21 @@ def optimal_schedule_reference(inst: Instance) -> Schedule:
         slots.append(frozenset(v for v in range(n) if sub >> v & 1))
         mask ^= sub
     return Schedule(slots=tuple(slots))
+
+
+def zeta_reference(values: Iterable[int], n: int, op) -> list[int]:
+    """The subset-sum transform one mask at a time, as Python ints.
+
+    For each bit in turn, every mask that holds it becomes
+    ``op(a[mask], a[mask without the bit])``; ``operator.sub`` gives the
+    Moebius transform.
+    """
+    a = list(values)
+    for k in range(n):
+        for mask in range(1 << n):
+            if mask >> k & 1:
+                a[mask] = op(a[mask], a[mask ^ (1 << k)])
+    return a
 
 
 def subset_table_elementwise(inst: Instance, cap: int) -> np.ndarray:

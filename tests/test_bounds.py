@@ -20,7 +20,7 @@ from linsched.gen import SplitMix64, collocated
 from linsched.model import Schedule
 
 import reference as ref
-from conftest import full_scan_measure, line_pseudometric, make_random_instance
+from conftest import full_scan_measure, line_pseudometric, link_terms, make_random_instance
 
 
 def line_instance(params):
@@ -34,8 +34,8 @@ def line_instance(params):
 
 
 def capped_terms(inst, nodes):
-    """min(1, term) of every link at each of ``nodes``, from the kernel."""
-    return np.minimum(kernel.terms(inst, np.arange(inst.n), np.asarray(nodes)), 1.0)
+    """min(1, term) of every link (columns) at each of ``nodes`` (rows), from the kernel."""
+    return np.minimum(link_terms(inst, np.arange(inst.n), nodes), 1.0)
 
 
 def test_interference_capped_at_own_sender(params):
@@ -59,7 +59,7 @@ def test_interference_every_term_in_unit_interval(params):
     assert ((0.0 <= terms) & (terms <= 1.0)).all()
     for j, p in enumerate(inst.used_nodes().tolist()):
         for w in range(inst.n):
-            assert terms[w, j] == pytest.approx(ref.interference_at(p, [w], inst), rel=1e-12)
+            assert terms[j, w] == pytest.approx(ref.interference_at(p, [w], inst), rel=1e-12)
 
 
 def test_collocated_interference_is_link_count(params):
@@ -258,7 +258,7 @@ def test_upper_bounds_cover_every_node(case, monkeypatch):
     inst = make()
     W = np.arange(inst.n) if members is None else np.array(members)
     nodes = inst.used_nodes()
-    exact = np.minimum(kernel.terms(inst, W, nodes), 1.0).sum(axis=0)
+    exact = np.minimum(link_terms(inst, W, nodes), 1.0).sum(axis=1)
     monkeypatch.setattr(kernel, "BLOCK", 1)  # so that one exact block never holds every node
     upper = bounds._upper_bounds(inst, W, nodes)
     assert (exact <= upper).all()

@@ -286,6 +286,27 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert captured.out == "" and captured.err.count("finite") == 2
 
 
+def test_documents_nested_beyond_the_recursion_limit_exit_2(tmp_path, capsys):
+    inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+    assert cli.run(gen_args(inst, n=3)) == 0
+    assert cli.run(["schedule", "--in", str(inst), "--c", "4", "--out", str(sched)]) == 0
+    deep = tmp_path / "deep.json"
+    deep_slots = tmp_path / "deep_slots.json"
+    deep.write_text("[" * 100_000)
+    deep_slots.write_text(json.dumps({"schema": "sinr-linsched/1", "slots": []})[:-2] + "[" * 100_000)
+    capsys.readouterr()
+    for argv in (
+        ["schedule", "--in", str(deep), "--c", "4", "--out", str(tmp_path / "s.json")],
+        ["verify", "--in", str(deep), "--sched", str(sched)],
+        ["verify", "--in", str(inst), "--sched", str(deep)],
+        ["verify", "--in", str(inst), "--sched", str(deep_slots)],
+    ):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid JSON in " in captured.err
+        assert "internal error" not in captured.err
+
+
 def test_spread_family_requires_separation(tmp_path, capsys):
     code = cli.run([
         "gen", "--family", "spread", "--n", "3", "--alpha", "3", "--beta", "2",

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import reference as ref
-from conftest import affectance_on, line_pseudometric, make_random_instance
+from conftest import affectance_on, line_pseudometric, link_terms, make_random_instance
 from linsched import (
     EuclideanMetric,
     Instance,
@@ -81,8 +81,8 @@ def test_dist_agrees_with_math_dist():
     eps = np.finfo(np.float64).eps
     for inst in [make_random_instance(seed=s, n=30, box=15.0) for s in range(5)] + [euclid3(0)]:
         pts = inst.metric.points
-        nodes = np.arange(len(pts))
-        expected = np.array([[math.dist(p, q) for q in pts] for p in pts])
+        nodes = kernel.coords(inst, np.arange(len(pts)))
+        expected = np.array([[math.dist(p, q) for p in pts] for q in pts])  # row q: at node q
         np.testing.assert_allclose(kernel.dist(inst, nodes, nodes), expected, rtol=eps, atol=0)
 
 
@@ -90,8 +90,8 @@ def test_dist_agrees_with_math_dist():
 def test_terms_match_reference(inst, block):
     n = inst.n
     expected = np.array([[ref.affectance_term(w, v, inst) for v in range(n)] for w in range(n)])
-    got = kernel.terms(inst, np.arange(n), inst.receivers)
-    np.testing.assert_allclose(got, expected, rtol=REL)
+    got = link_terms(inst, np.arange(n), inst.receivers)  # got[v, w]
+    np.testing.assert_allclose(got, expected.T, rtol=REL)
     table = _term_matrix(inst)
     np.fill_diagonal(expected, 0.0)
     np.testing.assert_allclose(table, np.where(np.isinf(expected), _HUGE, expected), rtol=REL)
@@ -119,7 +119,7 @@ def test_interference_matches_reference(inst, block):
         assert node == ref_node
         assert value == pytest.approx(ref_value, rel=REL)
     nodes = inst.used_nodes()[:4]
-    capped = np.minimum(kernel.terms(inst, np.arange(inst.n), nodes), 1.0)
+    capped = np.minimum(link_terms(inst, np.arange(inst.n), nodes), 1.0)
     for p, value in zip(nodes.tolist(), kernel.ascending_sums(capped).tolist()):
         assert value == pytest.approx(ref.interference_at(p, range(inst.n), inst), rel=REL)
 

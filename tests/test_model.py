@@ -28,19 +28,25 @@ def _pairs(metric, senders, receivers):
     return Instance(metric, senders, receivers, PhysicalParams(alpha=3.0, beta=2.0))
 
 
+def _cross(inst):
+    """d(s_w, r_v) as row w, column v, from the kernel's receiver-major block."""
+    S, X = kernel.coords(inst, inst.senders), kernel.coords(inst, inst.receivers)
+    return kernel.dist(inst, S, X).T.tolist()
+
+
 def test_euclidean_distance_pythagorean():
     inst = _pairs(EuclideanMetric(points=((0.0, 0.0), (3.0, 4.0))), [0, 1], [1, 0])
     assert inst.lengths.tolist() == [5.0, 5.0]
-    assert kernel.dist(inst, inst.senders, inst.receivers).tolist() == [[5.0, 0.0], [0.0, 5.0]]
+    assert _cross(inst) == [[5.0, 0.0], [0.0, 5.0]]
 
 
 def test_distance_to_self_is_zero():
     inst = _pairs(EuclideanMetric(points=((1.5, -2.0), (3.0, 4.0))), [0], [0])
     assert inst.lengths.tolist() == [0.0]
-    assert kernel.dist(inst, inst.senders, inst.receivers).tolist() == [[0.0]]
+    assert _cross(inst) == [[0.0]]
     inst = _pairs(MatrixMetric(d=((0.0, 2.0), (2.0, 0.0))), [1, 0], [1, 1])
     assert inst.lengths.tolist() == [0.0, 2.0]
-    assert kernel.dist(inst, inst.senders, inst.receivers).tolist() == [[0.0, 0.0], [2.0, 2.0]]
+    assert _cross(inst) == [[0.0, 0.0], [2.0, 2.0]]
 
 
 def test_distance_index_out_of_range():
@@ -578,6 +584,17 @@ def test_loader_digit_limit_message_exact():
             "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase "
             "the limit"
         )
+
+
+def test_loader_nesting_beyond_the_recursion_limit_is_a_format_error():
+    # json.loads raises RecursionError, not ValueError, on arrays nested this deep
+    deep = "[" * 100_000
+    texts = (deep, json.dumps(_SCHEDULE).replace("[[0]]", deep))
+    for loader in (load_instance, load_schedule):
+        for text in texts:
+            where = "instance document" if loader is load_instance else "schedule document"
+            with pytest.raises(FormatError, match=f"^invalid JSON in {where}: maximum recursion"):
+                loader(text)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

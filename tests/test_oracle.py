@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,7 @@ from linsched.oracle import partition_solve, subset_table, two_slot_decision
 from linsched.sinr import slot_feasible
 
 from conftest import affectance_on, line_pseudometric, make_random_instance
-from reference import optimal_schedule_reference, subset_table_elementwise
+from reference import optimal_schedule_reference, subset_table_elementwise, zeta_reference
 
 
 def test_single_link_needs_one_slot(params):
@@ -135,6 +136,15 @@ def test_subset_table_is_the_elementwise_loop(name, block):
         expected = subset_table_elementwise(inst, 20)
     assert table.dtype == expected.dtype == bool
     assert np.array_equal(table, expected)
+
+
+@pytest.mark.parametrize("op, scalar_op", [(np.add, operator.add), (np.subtract, operator.sub)])
+def test_zeta_is_the_mask_loop(op, scalar_op):
+    rng = np.random.default_rng(0)
+    for n in range(13):  # bits 0 to 2 run as strided passes, the rest as pair views
+        values = rng.integers(-1000, 1000, 1 << n)
+        got = oracle._zeta(values.copy(), n, op)
+        assert got.tolist() == zeta_reference(values.tolist(), n, scalar_op)
 
 
 def test_subset_table_downward_closed(params):

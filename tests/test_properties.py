@@ -23,6 +23,7 @@ import sys
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -51,7 +52,13 @@ from linsched.model import REL_TOL, MatrixMetric, Schedule
 from linsched.oracle import subset_table
 from linsched.sinr import slot_feasible
 
-from conftest import affectance_on, full_scan_measure, line_pseudometric, make_random_instance
+from conftest import (
+    affectance_on,
+    full_scan_measure,
+    line_pseudometric,
+    link_terms,
+    make_random_instance,
+)
 from reference import (
     aggregate_per_code,
     greedy_schedule_columns,
@@ -379,6 +386,71 @@ def test_blocked_greedy_is_the_column_loop(inst, block, c):
     assert blocked == greedy_schedule_columns(inst, cfg)
 
 
+def _floats_around(x: float, k: int = 300) -> list[float]:
+    """x and the k floats on each side of it."""
+    xs = [x]
+    lo = hi = np.float64(x)
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        xs += [float(lo), float(hi)]
+    return xs
+
+
+@settings(FIXED, max_examples=40)
+@given(
+    st.sampled_from((0.0, 5e-324, 1e-300, 4.0**-3, 1.0 - 2.0**-53))  # 0.0: c^-alpha underflows
+    | st.floats(0.0, 1.0)
+    | st.builds(lambda c, alpha: c**-alpha, st.floats(1.001, 1e3), st.floats(1.01, 400.0))
+)
+def test_the_admission_cut_is_rel_leq(thr):
+    cut = kernel.rel_leq_cut(thr)
+    xs = np.array(
+        [0.0, -0.0, math.inf, math.nan, -1.0]
+        + _floats_around(thr)
+        + _floats_around(thr * (1.0 + REL_TOL))
+        + _floats_around(cut)
+    )
+    assert ((xs <= cut) == kernel.rel_leq(xs, thr)).all()
+
+
+def _loads_on_the_cut() -> list[tuple[str, Instance, SchedulerConfig]]:
+    """Two links on a line, where link 0 (length 4) puts a load on link 1
+    (length about 1) of exactly the cut, the float above it, thr, or the
+    float below thr.  Link 1's receiver goes to the first of 601 consecutive
+    floats around (4 / x)^3 = target where the kernel's term is the target;
+    where none is, that separation constant gives no case."""
+    cases = []
+    for c in np.linspace(1.5, 15.0, 28).tolist():
+        cfg = SchedulerConfig(c=c)
+        thr = cfg.admit_threshold(3.0)
+        cut = kernel.rel_leq_cut(thr)
+        targets = {"cut": cut, "above cut": np.nextafter(cut, np.inf),
+                   "thr": thr, "below thr": np.nextafter(thr, -np.inf)}
+        for name, target in targets.items():
+            x0 = np.float64(4.0 * target ** (-1 / 3))  # (4 / x0)^3 = target
+            xs = (x0.view(np.int64) + np.arange(-300, 301)).view(np.float64)
+            hits = xs[kernel.ratio_power(np.full(len(xs), 4.0), xs, 3.0) == target]
+            if len(hits):
+                x = float(hits[0])
+                points = [[0.0, 0.0], [4.0, 0.0], [x + 1.0, 0.0], [x, 0.0]]
+                inst = Instance(EuclideanMetric(points=points), [0, 2], [1, 3],
+                                PhysicalParams(alpha=3.0, beta=2.0))
+                cases.append((name, inst, cfg))
+    return cases
+
+
+@pytest.mark.parametrize("block", (1, kernel.BLOCK))
+def test_greedy_admits_loads_on_the_cut_as_the_column_loop(block):
+    cases = _loads_on_the_cut()
+    assert {name for name, _, _ in cases} == {"cut", "above cut", "thr", "below thr"}
+    for name, inst, cfg in cases:
+        with mock.patch.object(kernel, "BLOCK", block):
+            sched = greedy_schedule(inst, cfg)
+        assert sched == greedy_schedule_columns(inst, cfg)
+        # link 1 joins link 0 unless its load is past the cut
+        assert sched.length == (2 if name == "above cut" else 1)
+
+
 @FIXED
 @given(st.data())
 def test_subset_table_downward_closed_and_matches_slots(data):
@@ -468,7 +540,7 @@ def test_scaling_a_matrix_by_a_power_of_two_changes_nothing(inst, scale):
 def _worst_load(inst: Instance) -> float:
     """The largest affectance on a link of the slot that holds every link."""
     links = np.arange(inst.n)
-    t = kernel.terms(inst, links, inst.receivers)
+    t = link_terms(inst, links, inst.receivers)
     t[links, links] = 0.0
     return float(kernel.ascending_sums(t).max())
 

@@ -5,14 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from linsched import EuclideanMetric, Instance, PhysicalParams, schedule_feasible, sinr
+from linsched import (
+    EuclideanMetric,
+    Instance,
+    PhysicalParams,
+    SchedulerConfig,
+    greedy_schedule,
+    kernel,
+    schedule_feasible,
+    sinr,
+)
+from linsched.bounds import interference_measure
 from linsched.gen import SplitMix64, collocated
 from linsched.model import InternalError, MatrixMetric, Schedule
 from linsched.scheduler import compute_c
 from linsched.sinr import slot_feasible
 
 import reference as ref
-from conftest import affectance_on, make_random_instance, term_on as term
+from conftest import affectance_on, line_pseudometric, make_random_instance, term_on as term
 from reference import asym_distance, length, raw_slot_feasible
 
 
@@ -225,3 +235,58 @@ def test_raw_form_survives_power_overflow():
     assert res.feasible
     assert term(inst, 0, 1) == term(inst, 1, 0) == 0.0 == ref.affectance_term(0, 1, inst)
     assert res.worst_margin == inst.params.affectance_threshold()
+
+
+def asymmetric_matrix(seed: int, n: int = 12) -> Instance:
+    """Links over a matrix with d[p, q] != d[q, p] (not a metric, so never
+    validated): a block that read d[x, s_w] for d[s_w, x] would get other loads."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(1.0, 4.0, (2 * n, 2 * n))
+    np.fill_diagonal(d, 0.0)
+    nodes = 2 * np.arange(n)
+    d[nodes, nodes + 1] = rng.uniform(0.2, 1.0, n)  # the link lengths
+    return Instance(MatrixMetric(d=d), nodes, nodes + 1, PhysicalParams(alpha=3.0, beta=2.0))
+
+
+COLUMN_CASES = {
+    "euclid": make_random_instance(seed=1, n=40, box=30.0),
+    "euclid-noise": make_random_instance(
+        seed=2, n=40, box=40.0, params=PhysicalParams(alpha=2.5, beta=1.5, noise=0.05, c_l=2.0)
+    ),
+    "collocated": line_pseudometric(3, n=20),  # zero cross distances: +inf terms
+    "asymmetric": asymmetric_matrix(0),
+}
+
+
+def column_member_sets(n: int):
+    yield from ([v] for v in range(n))
+    yield list(range(n))
+    yield list(range(0, n, 3))
+    rng = SplitMix64(n)
+    for _ in range(6):
+        yield [v for v in range(n) if rng.random() < 0.3] or [n - 1]
+
+
+@pytest.mark.parametrize("block", (1, 8, 64, kernel.BLOCK))
+@pytest.mark.parametrize("name", sorted(COLUMN_CASES))
+def test_slot_feasible_is_the_column_loop(name, block, monkeypatch):
+    monkeypatch.setattr(kernel, "BLOCK", block)
+    inst = COLUMN_CASES[name]
+    verdicts = set()
+    for members in column_member_sets(inst.n):
+        res = slot_feasible(members, inst)
+        feasible, worst_link, worst_margin = ref.slot_feasible_columns(members, inst)
+        assert (res.feasible, res.worst_link) == (feasible, worst_link)
+        assert repr(res.worst_margin) == repr(worst_margin)  # bit for bit
+        verdicts.add(feasible)
+    assert verdicts == {True, False}
+
+
+def test_an_asymmetric_matrix_is_read_from_sender_to_receiver():
+    inst = asymmetric_matrix(1)
+    for v in range(inst.n):
+        for w in range(inst.n):
+            assert term(inst, w, v) == ref.affectance_term(w, v, inst)
+    cfg = SchedulerConfig(c=1.5)
+    assert greedy_schedule(inst, cfg) == ref.greedy_schedule_reference(inst, cfg)
+    assert interference_measure(range(inst.n), inst) == ref.interference_measure(range(inst.n), inst)
