@@ -82,6 +82,22 @@ class EuclideanMetric:
     def dim(self) -> int:
         return self.points.shape[1]
 
+    @cached_property
+    def squares_in_range(self) -> bool:
+        """Whether every nonzero coordinate magnitude lies in [2^-400, 2^500].
+
+        Then no square of a coordinate difference overflows or underflows,
+        and ``kernel.cheap_ratios`` may take a distance as ``sqrt`` of the
+        summed squares.  A float of magnitude 2^-400 or more is a multiple of
+        2^-452, so a nonzero difference of two such coordinates (or of one
+        and 0) is at least 2^-452, and its square at least 2^-904, a normal
+        float.  A difference of at most 2^501 squares to at most 2^1002.
+        """
+        a = np.abs(self.points)
+        return bool(a.max(initial=0.0) <= 2.0**500) and bool(
+            np.min(a, where=a > 0.0, initial=np.inf) >= 2.0**-400
+        )
+
 
 @dataclass(frozen=True)
 class MatrixMetric:

@@ -92,19 +92,32 @@ def greedy_schedule(inst: Instance, cfg: SchedulerConfig) -> Schedule:
     """First-fit greedy over length-sorted links, a block of positions at a time.
 
     The sender and receiver coordinates and the lengths are gathered once,
-    in processing order.  For each block of positions, one kernel block gives
-    the terms of every link placed up to the block's end on the block's
-    receivers, a row per receiver.  A bincount over row*slots + slot adds
-    up the terms of the links placed before the block, each bin in placement
-    order; inside the block, each placement adds its terms to its slot's
-    loads on the later receivers.  Every load is thus its slot's terms added
-    one by one in placement order.  A load is admitted when it is at most
-    ``kernel.rel_leq_cut(thr)``, which is the test ``rel_leq(load, thr)``.
+    in processing order.  A load is admitted when it is at most
+    ``cut = kernel.rel_leq_cut(thr)``, which is the test ``rel_leq(load, thr)``;
+    the exact load of a slot on a link is its terms from ``kernel.terms``
+    added one by one in placement order.
+
+    First fit runs on cheap loads.  For each block of positions, one block
+    of ``kernel.cheap_power`` terms gives every link placed up to the
+    block's end on the block's receivers, a row per receiver.  A bincount
+    over row*slots + slot adds up the terms of the links placed before the
+    block; inside the block, each placement adds its terms to its slot's
+    loads on the later receivers.  ``kernel.cheap_cuts`` turns the cut into
+    two cheap ones for loads of at most n terms.  A link skips the slots
+    whose cheap load is above ``above``, whose exact loads are surely past
+    the cut, and joins the first other slot if its cheap load is at most
+    ``below``, where the exact load surely fits.  Otherwise (a load within
+    the bound of the cut, or NaN) the link's exact row from ``kernel.terms``
+    and one bincount over the slots placed before it give every exact load,
+    each the same additions in the same order as above, and first fit runs
+    on those.  Either way the link goes where the exact loads put it.
     """
     n = inst.n
     if n == 0:
         return Schedule(slots=())
-    cut = kernel.rel_leq_cut(cfg.admit_threshold(inst.params.alpha))
+    alpha = inst.params.alpha
+    cut = kernel.rel_leq_cut(cfg.admit_threshold(alpha))
+    below, above = kernel.cheap_cuts(inst, cut, n)
     order = _processing_order(inst)
     S = kernel.coords(inst, inst.senders[order])
     X = kernel.coords(inst, inst.receivers[order])
@@ -114,14 +127,21 @@ def greedy_schedule(inst: Instance, cfg: SchedulerConfig) -> Schedule:
     slots: list[list[int]] = []
     for span in kernel.blocks(n, n):
         a, b = span.start, span.stop
-        T = kernel.terms(inst, S[:b], L[:b], X[span])  # T[c, i]: position i on position a + c
+        # T[c, i]: the cheap term of position i on position a + c
+        T = kernel.cheap_power(kernel.cheap_ratios(inst, S[:b], L[:b], X[span]), alpha)
         width = len(slots) + b - a  # room for every slot this block can open
         bins = slot_of[:a] + np.arange(0, (b - a) * width, width)[:, None]
         loads = np.bincount(bins.ravel(), T[:, :a].ravel(), minlength=(b - a) * width)
         loads = loads.astype(np.float64, copy=False).reshape(b - a, width)  # a = 0: 0.0
         for c, v in enumerate(links[span]):
-            # First fit; the next new slot, at load 0.0 <= cut, always fits.
-            k = int((loads[c, : len(slots) + 1] <= cut).argmax())
+            # The next new slot, at load 0.0, is never past the cut.
+            row = loads[c, : len(slots) + 1]
+            k = int((row > above).argmin())
+            if not row[k] <= below:
+                j = a + c
+                exact = kernel.terms(inst, S[:j], L[:j], X[j : j + 1])[0]
+                row = np.bincount(slot_of[:j], exact, minlength=len(slots) + 1)
+                k = int((row <= cut).argmax())
             if k == len(slots):
                 slots.append([])
             slots[k].append(v)

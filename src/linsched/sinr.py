@@ -12,9 +12,10 @@ slot verdict is double-checked here against the raw power-ratio form of the
 SINR condition; the two must agree unless the worst load lies within rounding
 of the band edge.  All terms come from ``kernel``, a block of member
 receivers at a time, from coordinates gathered once per slot.  The
-affectance loads are sorted sequential sums, as ``sum(sorted(...))`` gives
-them; the raw form, computed on its own from the same distances, adds its
-powers with ``np.sum``, since its bits reach no output.
+affectance loads are sorted sequential sums of exact terms, as
+``sum(sorted(...))`` gives them; the raw form, computed on its own from the
+kernel's cheap distances, adds its powers with ``np.sum``, since its bits
+reach no output.
 
 Terms where the cross distance is zero saturate to +inf, so any slot that
 collocates a sender with a foreign receiver is infeasible.
@@ -50,8 +51,21 @@ def slot_feasible(members: Iterable[int], inst: Instance) -> FeasibilityResult:
     Feasible iff every member's affectance stays within the threshold
     1/beta - noise/c_l (relative tolerance 1e-9).  The verdict is checked
     against the raw power-ratio form of the SINR condition, computed on its
-    own from the same distances; InternalError is raised if they disagree
-    on a slot whose worst load is not within rounding of the band edge.
+    own over every pair; InternalError is raised if they disagree on a slot
+    whose worst load is not within rounding of the band edge.
+
+    The verdict, the worst link and its margin read the exact loads of a
+    few members only.  One pass sums every member's cheap load and raw
+    interference.  ``rel_leq`` is monotone in the load, so the verdict is
+    that of the largest exact load, and ``thr - load`` is monotone too, so
+    the worst link is the first member whose margin rounds to the margin of
+    the largest load.  Its load is within d(max) = 4*eps*(|thr| + max) of
+    the largest: two reals that round to the same float m are within an ulp
+    of m, at most eps*|m|.  ``kernel.cheap_error`` gives a lower bound
+    ``low`` on the largest exact load from the largest finite cheap one, and
+    the exact loads are taken of every member whose cheap load
+    ``kernel.cheap_cuts`` cannot put at or below low - d(low).  Every other
+    member's exact load is below max - d(max), as x - d(x) grows with x.
     """
     member_list = sorted(set(members))
     if not member_list:
@@ -60,35 +74,44 @@ def slot_feasible(members: Iterable[int], inst: Instance) -> FeasibilityResult:
     M = np.array(member_list, dtype=np.intp)
     S, X = kernel.coords(inst, inst.senders[M]), kernel.coords(inst, inst.receivers[M])
     lengths = inst.lengths[M]
-    log_lengths = np.log(lengths)
-    aff = np.empty(len(M))
-    interference = np.empty(len(M))  # raw form: summed received power
+    cheap = np.empty(len(M))
+    interference = np.empty(len(M))  # raw form: summed received power over c_l
     for rows in kernel.blocks(len(M), len(M)):
-        d = kernel.dist(inst, S, X[rows])  # d[j, i]: from sender i to receiver rows.start + j
-        own = np.arange(len(d)), np.arange(rows.start, rows.stop)
-        t = kernel.ratio_power(lengths, d, p.alpha)
+        q = kernel.cheap_ratios(inst, S, lengths, X[rows])  # q[j, i]: sender i, receiver rows.start + j
+        own = np.arange(len(q)), np.arange(rows.start, rows.stop)
+        t = kernel.cheap_power(q, p.alpha)
         t[own] = 0.0
-        aff[rows] = kernel.ascending_sums(t)
+        cheap[rows] = t.sum(axis=1)
         # Raw form: received power c_l*len_w^alpha / d^alpha of every other
-        # sender, in log units so that len_w^alpha and d^alpha cannot overflow
-        # into inf/inf.  d = 0 gives log d = -inf and so power +inf.
+        # sender, as exp(alpha*log(len_w/d)) so that len_w^alpha and d^alpha
+        # cannot overflow into inf/inf, and so that the rounding of the
+        # logarithm does not grow with the scale of the points.  d = 0
+        # gives +inf.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            r = p.c_l * np.exp(p.alpha * (log_lengths - np.log(d)))
-        r[own] = 0.0
-        interference[rows] = r.sum(axis=1)
+            received = np.exp(p.alpha * np.log(q))
+        received[own] = 0.0
+        interference[rows] = received.sum(axis=1)
+    interference *= p.c_l
     thr = p.affectance_threshold()
-    feasible = bool(kernel.rel_leq(aff, thr).all())
+    r, f = kernel.cheap_error(inst, len(M))
+    top = float(cheap.max(where=np.isfinite(cheap), initial=0.0))
+    low = top * (1.0 - r) - f if r < 1.0 else 0.0  # the largest exact load is at least this
+    below, _ = kernel.cheap_cuts(inst, low - 4 * kernel.EPS * (abs(thr) + low) - 2.0**-1070, len(M))
+    exact = np.flatnonzero(~(cheap <= below))  # ascending, so argmin finds the first member
+    aff = _exact_loads(inst, S, lengths, X, exact)
+    feasible = bool(kernel.rel_leq(aff.max(), thr))
     # A link's own received power is c_l*len^alpha/len^alpha = c_l, and noise
     # leaves c_l - beta*noise of it for interference: this budget is beta*c_l
     # times thr, so the 1e-9 band is the same fraction of the budget in both forms.
     raw_feasible = bool(kernel.rel_leq(p.beta * interference, p.c_l - p.beta * p.noise).all())
     # Each form rounds its own loads, by a few dozen ulps: the affectance
     # loads are sorted sequential sums, the raw ones pairwise sums (np.sum),
-    # whose rounding grows only as log2 of the slot size.  Each also rounds
-    # its own budget, by an ulp of 1/beta and of noise/c_l relative to thr.
-    # So the verdicts may split only on a worst load within that window of
-    # the band edge, and there the affectance verdict stands.
-    window = np.finfo(float).eps * ((1.0 / p.beta + p.noise / p.c_l) / thr + 64)
+    # whose rounding grows only as log2 of the slot size, of terms from the
+    # cheap distances.  Each also rounds its own budget, by an ulp of 1/beta
+    # and of noise/c_l relative to thr.  So the verdicts may split only on a
+    # worst load within that window of the band edge, and there the
+    # affectance verdict stands.
+    window = kernel.EPS * ((1.0 / p.beta + p.noise / p.c_l) / thr + 64)
     near_edge = abs(aff.max() / (thr * (1.0 + REL_TOL)) - 1.0) <= window
     if feasible != raw_feasible and not near_edge:
         raise InternalError(
@@ -98,9 +121,21 @@ def slot_feasible(members: Iterable[int], inst: Instance) -> FeasibilityResult:
     worst = int(np.argmin(margins))
     return FeasibilityResult(
         feasible=feasible,
-        worst_link=member_list[worst],
+        worst_link=member_list[exact[worst]],
         worst_margin=float(margins[worst]),
     )
+
+
+def _exact_loads(
+    inst: Instance, S: np.ndarray, lengths: np.ndarray, X: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """The affectance on the slot members ``rows``: exact terms, own term 0, sorted sums."""
+    aff = np.empty(len(rows))
+    for part in kernel.blocks(len(rows), len(S)):
+        t = kernel.terms(inst, S, lengths, X[rows[part]])
+        t[np.arange(len(t)), rows[part]] = 0.0
+        aff[part] = kernel.ascending_sums(t)
+    return aff
 
 
 @dataclass(frozen=True)

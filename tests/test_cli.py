@@ -15,6 +15,7 @@ from linsched import (
     load_schedule,
     save_instance,
     save_schedule,
+    scheduler,
     sinr,
     validate_instance,
 )
@@ -661,3 +662,47 @@ def test_repeated_id_in_a_slot_exit_2(tmp_path, capsys):
         assert cli.run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: slots[0] repeats link id 0\n"
+
+
+@pytest.mark.parametrize("x", [5.039684197899402, 5.039684197899403])
+def test_a_slot_on_the_band_edge_scaled_by_two_to_the_600_checks_as_unscaled(tmp_path, capsys, x):
+    # (4 / x)^3 lies within a few hundred ulps of the band edge 0.5*(1 + 1e-9).
+    # Scaled by 2^600, log d is about 416, and a raw-SINR form taking
+    # alpha*(log len - log d) rounded past the cross-check's window and split
+    # from the affectance verdict (exit 3).
+    def outputs(scale):
+        points = ((0.0, 0.0), (4.0 * scale, 0.0), ((x + 1.0) * scale, 0.0), (x * scale, 0.0))
+        inst = str(_two_links_at(tmp_path, points))
+        schedule = ["schedule", "--in", inst, "--c", "1.25", "--out", str(tmp_path / "s.json")]
+        verify = ["verify", "--in", inst, "--sched", _one_slot_schedule(tmp_path)]
+        return [run_ok(capsys, argv) for argv in (schedule, verify)]
+
+    unscaled = outputs(1.0)
+    assert [code for code, _ in unscaled] == [1, 1]  # the slot {0, 1} is infeasible
+    assert outputs(2.0**600) == unscaled
+
+
+@pytest.mark.parametrize("k", [600, -600, 1000, -1000])
+def test_scaling_points_by_extreme_powers_of_two_changes_no_output(tmp_path, capsys, k):
+    # Squares of coordinate differences overflow or underflow at these
+    # scales, so the cheap distances fall back to hypot.
+    path = tmp_path / "inst.json"
+    assert cli.run(gen_args(path, n=300, seed=3)) == 0
+    inst = load_instance(path.read_text())
+    scaled = Instance(EuclideanMetric(points=inst.metric.points * 2.0**k), inst.senders,
+                      inst.receivers, inst.params)
+    scaled_path = tmp_path / "scaled.json"
+    scaled_path.write_text(save_instance(scaled))
+    cfg = scheduler.SchedulerConfig(c=4.0)
+    sched = scheduler.greedy_schedule(inst, cfg)
+    assert scheduler.greedy_schedule(scaled, cfg) == sched
+    report, scaled_report = sinr.schedule_feasible(sched, inst), sinr.schedule_feasible(sched, scaled)
+    assert repr(scaled_report) == repr(report)  # margins bit for bit
+
+    def stdout(inst_path):
+        sched_path = tmp_path / f"{inst_path.stem}-sched.json"
+        argv = ["schedule", "--in", str(inst_path), "--c", "4", "--out", str(sched_path)]
+        verify = ["verify", "--in", str(inst_path), "--sched", str(sched_path)]
+        return [run_ok(capsys, argv), run_ok(capsys, verify)], sched_path.read_bytes()
+
+    assert stdout(scaled_path) == stdout(path)

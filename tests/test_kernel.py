@@ -22,6 +22,7 @@ from linsched import (
     kernel,
 )
 from linsched.bounds import interference_measure
+from linsched.model import MatrixMetric
 from linsched.sinr import slot_feasible
 from linsched.gen import SplitMix64
 from linsched.oracle import _HUGE, _term_matrix
@@ -129,6 +130,56 @@ def test_greedy_matches_reference(inst, block):
     for c in (1.2, 2.0, 4.0):
         cfg = SchedulerConfig(c=c)
         assert greedy_schedule(inst, cfg) == ref.greedy_schedule_reference(inst, cfg)
+
+
+def scaled(inst: Instance, k: int) -> Instance:
+    """The instance with every point scaled by 2^k."""
+    points = inst.metric.points * 2.0**k
+    return Instance(EuclideanMetric(points=points), inst.senders, inst.receivers, inst.params)
+
+
+def asymmetric_matrix(seed: int, n: int = 8) -> Instance:
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(1.0, 4.0, (2 * n, 2 * n))
+    np.fill_diagonal(d, 0.0)
+    nodes = 2 * np.arange(n)
+    return Instance(MatrixMetric(d=d), nodes, nodes + 1, PhysicalParams(alpha=3.0, beta=2.0))
+
+
+def bound_cases():
+    yield from cases()
+    for k in (600, -600, 1000, -1000):  # squares overflow or underflow: hypot distances
+        yield pytest.param(scaled(make_random_instance(seed=k % 7, n=16, box=40.0), k), id=f"scaled-{k}")
+    line = Instance(EuclideanMetric(points=np.linspace(0.0, 37.0, 24)[:, None]),
+                    np.arange(0, 24, 2), np.arange(1, 24, 2), PhysicalParams(alpha=3.0, beta=2.0, m=1.0))
+    yield pytest.param(line, id="dim1")
+    yield pytest.param(asymmetric_matrix(0), id="asymmetric")
+
+
+@pytest.mark.parametrize("inst", bound_cases())
+def test_cheap_terms_lie_within_the_stated_bound(inst):
+    S, X, L = kernel.coords(inst, inst.senders), kernel.coords(inst, inst.receivers), inst.lengths
+    exact = kernel.terms(inst, S, L, X)
+    cheap = kernel.cheap_power(kernel.cheap_ratios(inst, S, L, X), inst.params.alpha)
+    r, f = kernel.cheap_error(inst, 1)  # a load of one term
+    assert r < 1e-8
+    both = np.isfinite(exact) & np.isfinite(cheap)
+    assert (exact[both] <= cheap[both] * (1.0 + r) + f).all()
+    assert (exact[both] >= cheap[both] * (1.0 - r) - f).all()
+    assert (cheap[np.isinf(exact)] >= 2.0**1022).all()
+    assert (exact[np.isinf(cheap)] >= 2.0**1022).all()
+
+
+def test_squares_are_in_range_between_two_to_the_minus_400_and_500():
+    def metric(*coords):
+        return EuclideanMetric(points=[[x] for x in coords])
+
+    assert metric(0.0, -0.0, 2.0**-400, -(2.0**500), 1.0).squares_in_range
+    for x in (np.nextafter(2.0**-400, 0.0), -np.nextafter(2.0**500, np.inf), math.nan):
+        assert not metric(0.0, 1.0, float(x)).squares_in_range
+    inst = make_random_instance(seed=0, n=16, box=40.0)
+    assert inst.metric.squares_in_range
+    assert not any(scaled(inst, k).metric.squares_in_range for k in (600, -600, 1000, -1000))
 
 
 def test_vectorized_rel_leq_matches_scalar():

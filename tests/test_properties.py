@@ -4,10 +4,13 @@ validation against its per-offender reference (also with triangle
 violations at the edge of the tolerance), invariance under relabelling
 links (verdicts, and the greedy schedule on tie-free lengths) and under
 scaling points or matrix entries by a power of two, the blocked greedy
-against one kernel column per link, the grid-pruned interference measure
-against the full scan, the subset table against slot feasibility, the
-raw-SINR cross-check at the edge of small budgets, and CLI exit codes on
-fuzzed instance documents.
+against one kernel column per link, greedy admission and slot feasibility
+on the edges of their cheap-term decisions (loads on a cut, ties, +inf and
+underflowing terms, 1 to 3 dimensions, asymmetric matrices, points beyond
+the range of exact squares) against the column loops, the grid-pruned
+interference measure against the full scan, the subset table against slot
+feasibility, the raw-SINR cross-check at the edge of small budgets, and CLI
+exit codes on fuzzed instance documents.
 Hypothesis runs derandomized with few examples, so the suite stays
 deterministic and fast.
 """
@@ -65,6 +68,7 @@ from reference import (
     number_rows_reference,
     save_instance_reference,
     save_schedule_reference,
+    slot_feasible_columns,
     validate_instance_reference,
 )
 
@@ -384,6 +388,111 @@ def test_blocked_greedy_is_the_column_loop(inst, block, c):
     with mock.patch.object(kernel, "BLOCK", block):
         blocked = greedy_schedule(inst, cfg)
     assert blocked == greedy_schedule_columns(inst, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Greedy admission and slot feasibility decide on cheap terms within a stated
+# bound and take exact terms where it cannot decide: instances on the edges
+# of those decisions.
+
+
+@st.composite
+def loads_on_a_cut(draw) -> tuple[Instance, float]:
+    """Link 0 from the origin to (4, 0, ...) and a unit link pointing away
+    from it along a drawn direction, whose receiver lies where the exact term
+    of link 0 on it is the cut of greedy's threshold or of the slot
+    threshold, give or take a few floats (about 3 ulps of the term each)."""
+    dim = draw(st.integers(1, 3))
+    u = -np.abs(np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=dim, max_size=dim))))
+    u /= np.sqrt((u * u).sum())
+    c = draw(st.floats(1.1, 8.0))
+    params = PhysicalParams(alpha=3.0, beta=draw(st.sampled_from((1.5, 2.0, 3.0))), m=float(dim))
+    thr = draw(st.sampled_from((SchedulerConfig(c=c).admit_threshold(3.0), params.affectance_threshold())))
+    target = kernel.rel_leq_cut(thr)
+    x0 = np.float64(4.0 * target ** (-1 / 3))
+    xs = (x0.view(np.int64) + np.arange(-300, 301)).view(np.float64)
+    d = kernel.euclid(np.zeros((1, dim)), xs[:, None, None] * u)
+    terms = kernel.ratio_power(np.full(d.shape, 4.0), d, 3.0)[:, 0]
+    assume(terms[0] > target >= terms[-1])  # the terms fall as x grows
+    first = int(np.argmax(terms <= target))
+    x = float(xs[first + draw(st.integers(-3, 3))])
+    r0 = np.zeros(dim)
+    r0[0] = 4.0
+    points = [np.zeros(dim), r0, (x + 1.0) * u, x * u]
+    return Instance(EuclideanMetric(points=points), [0, 2], [1, 3], params), c
+
+
+@st.composite
+def mirrored_links(draw) -> tuple[Instance, float]:
+    """Unit links facing in pairs across a square of drawn side: equal loads."""
+    side = draw(st.floats(3.0, 60.0))
+    points = [(0.0, 0.0), (1.0, 0.0), (side + 1.0, 0.0), (side, 0.0),
+              (0.0, side), (1.0, side), (side + 1.0, side), (side, side)]
+    nodes = 2 * np.arange(4)
+    params = PhysicalParams(alpha=draw(st.sampled_from((2.5, 3.0, 4.0))), beta=2.0)
+    return Instance(EuclideanMetric(points=points), nodes, nodes + 1, params), 1.5
+
+
+@st.composite
+def random_links(draw) -> tuple[Instance, float]:
+    """Links in 1 to 3 dimensions, at alpha up to 400 (terms that underflow),
+    as a chain (a receiver on the next sender: +inf terms), or scaled by a
+    power of two beyond the range where squares of differences are exact."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, dim = draw(st.integers(2, 24)), draw(st.integers(1, 3))
+    alpha = draw(st.sampled_from((1.5, 3.0, 50.0, 400.0)))
+    params = PhysicalParams(alpha=alpha, beta=draw(st.sampled_from((1.0, 2.0))), m=float(dim))
+    senders = rng.uniform(0.0, draw(st.sampled_from((5.0, 30.0))), (n, dim))
+    if draw(st.booleans()):
+        points = np.empty((2 * n, dim))
+        points[0::2], points[1::2] = senders, senders + rng.uniform(-2.0, 2.0, (n, dim))
+        nodes = 2 * np.arange(n)
+        inst = Instance(EuclideanMetric(points=points), nodes, nodes + 1, params)
+    else:
+        inst = Instance(EuclideanMetric(points=senders), np.arange(n - 1), np.arange(1, n), params)
+    scale = 2.0 ** draw(st.sampled_from((0, 0, 600, -600, 1000, -1000)))
+    inst = Instance(EuclideanMetric(points=inst.metric.points * scale), inst.senders, inst.receivers,
+                    params)
+    return inst, draw(st.sampled_from((1.2, 1.5, 4.0)))
+
+
+@st.composite
+def asymmetric_links(draw) -> tuple[Instance, float]:
+    """Links over a matrix with d[p, q] != d[q, p], some entries 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 12))
+    d = rng.uniform(1.0, 4.0, (2 * n, 2 * n)) * (rng.random((2 * n, 2 * n)) > 0.05)
+    np.fill_diagonal(d, 0.0)
+    nodes = 2 * np.arange(n)
+    d[nodes, nodes + 1] = rng.uniform(0.2, 1.0, n)  # the link lengths
+    params = PhysicalParams(alpha=draw(st.sampled_from((2.5, 3.0, 4.0))), beta=2.0)
+    return Instance(MatrixMetric(d=d), nodes, nodes + 1, params), draw(st.sampled_from((1.2, 1.5, 4.0)))
+
+
+def _filtered_decisions_are_the_column_loops(inst: Instance, c: float, block: int) -> None:
+    cfg = SchedulerConfig(c=c)
+    with mock.patch.object(kernel, "BLOCK", block):
+        sched = greedy_schedule(inst, cfg)
+        assert sched == greedy_schedule_columns(inst, cfg)
+        n = inst.n
+        for members in (range(n), range(0, n, 2), range(1, n, 3), *map(sorted, sched.slots)):
+            if len(members):
+                res = slot_feasible(members, inst)
+                feasible, worst_link, worst_margin = slot_feasible_columns(members, inst)
+                assert (res.feasible, res.worst_link) == (feasible, worst_link)
+                assert repr(res.worst_margin) == repr(worst_margin)
+
+
+@settings(FIXED, max_examples=150)
+@given(loads_on_a_cut(), st.sampled_from((1, kernel.BLOCK)))
+def test_loads_on_a_cut_are_decided_as_the_column_loops(case, block):
+    _filtered_decisions_are_the_column_loops(*case, block)
+
+
+@settings(FIXED, max_examples=150)
+@given(st.one_of(mirrored_links(), random_links(), asymmetric_links()), st.sampled_from((1, 8, kernel.BLOCK)))
+def test_filtered_decisions_are_the_column_loops(case, block):
+    _filtered_decisions_are_the_column_loops(*case, block)
 
 
 def _floats_around(x: float, k: int = 300) -> list[float]:

@@ -290,3 +290,35 @@ def test_an_asymmetric_matrix_is_read_from_sender_to_receiver():
     cfg = SchedulerConfig(c=1.5)
     assert greedy_schedule(inst, cfg) == ref.greedy_schedule_reference(inst, cfg)
     assert interference_measure(range(inst.n), inst) == ref.interference_measure(range(inst.n), inst)
+
+
+def test_worst_link_is_the_first_of_exactly_tied_loads():
+    # four unit links facing in pairs across a square: every load is equal
+    D = 50.0
+    points = [(0.0, 0.0), (1.0, 0.0), (D + 1.0, 0.0), (D, 0.0),
+              (0.0, D), (1.0, D), (D + 1.0, D), (D, D)]
+    nodes = 2 * np.arange(4)
+    inst = Instance(EuclideanMetric(points=points), nodes, nodes + 1, PhysicalParams(alpha=3.0, beta=2.0))
+    for members in ([0, 1, 2, 3], [1, 2], [2, 3], [3, 0]):
+        _, _, _, loads = ref.slot_feasible(members, inst)
+        assert len(set(loads.values())) == 1
+        res = slot_feasible(members, inst)
+        feasible, worst_link, worst_margin = ref.slot_feasible_columns(members, inst)
+        assert (res.feasible, res.worst_link) == (feasible, worst_link) == (True, min(members))
+        assert repr(res.worst_margin) == repr(worst_margin)
+
+
+@pytest.mark.parametrize("e", [2.0**-52, 2.0**-50, 1e-8, 1e-7, 1e-6])
+def test_worst_link_is_the_first_whose_margin_rounds_to_the_worst(e):
+    # Two unit links 1e4 apart, link 0 longer by e: the load on link 1 is the
+    # larger, by about 3e of it, yet at 1e-12 against thr = 0.5 both margins
+    # round to the same float, so link 0 is the worst link.  From e = 1e-8 on
+    # the loads lie farther apart than the cheap loads' bound.
+    points = [(0.0, 0.0), (1.0 + e, 0.0), (1e4, 0.0), (1e4 - 1.0, 0.0)]
+    inst = Instance(EuclideanMetric(points=points), [0, 2], [1, 3], PhysicalParams(alpha=3.0, beta=2.0))
+    thr = inst.params.affectance_threshold()
+    _, _, _, loads = ref.slot_feasible([0, 1], inst)
+    assert loads[0] < loads[1] and thr - loads[0] == thr - loads[1]
+    res = slot_feasible([0, 1], inst)
+    assert res.worst_link == 0 == ref.slot_feasible_columns([0, 1], inst)[1]
+    assert repr(res.worst_margin) == repr(thr - loads[1])
