@@ -27,6 +27,9 @@ summed squares and ``np.power``, and ``cheap_error`` bounds how far a load
 summed from them can lie from the exact one.  A caller decides every test
 the bound settles on the cheap load and takes ``terms`` only for the rest,
 so that each output is still the exact kernel's.
+
+``rel_leq_cut`` is the package's one 1e-9 band-edge rule: greedy, slot
+feasibility and the exact oracle compare their loads with it.
 """
 
 from __future__ import annotations
@@ -205,32 +208,27 @@ def ascending_sums(T: np.ndarray) -> np.ndarray:
     return np.cumsum(s, axis=-1, out=s)[..., -1]
 
 
-def rel_leq(x, y) -> np.ndarray:
-    """x <= y elementwise, up to REL_TOL times the larger magnitude.
-
-    False where x - y is infinite or NaN.
-    """
-    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    with np.errstate(invalid="ignore", over="ignore"):
-        diff = x - y
-        tol = REL_TOL * np.maximum(np.abs(x), np.abs(y))
-        return (x <= y) | (np.isfinite(diff) & (diff <= tol))
-
-
 def rel_leq_cut(y: float) -> float:
-    """The largest float x with ``rel_leq(x, y)``, so that x <= cut is that test.
+    """The largest float x with x <= y up to REL_TOL times the larger magnitude.
 
-    ``rel_leq(x, y)`` is monotone in x: above y, x - y grows by an ulp of x
-    per step of x and REL_TOL * max(|x|, |y|) by far less.  The cut lies
-    within a few ulps of y + REL_TOL * |y|, and a few ``nextafter`` steps
-    find it.  An infinite or NaN y is its own cut.
+    Every threshold test of the package is ``load <= rel_leq_cut(thr)``.
+    The test behind the cut, x <= y or a finite x - y <= REL_TOL *
+    max(|x|, |y|), is monotone in x: above y, x - y grows by an ulp of x per
+    step of x and the tolerance by far less.  So one comparison with the cut
+    is that test, and a NaN load fails it.  The cut lies within a few ulps
+    of y + REL_TOL * |y|, and a few ``nextafter`` steps find it.  An
+    infinite or NaN y is its own cut.
     """
+    def leq(x: float) -> bool:
+        diff = x - y
+        return x <= y or (math.isfinite(diff) and diff <= REL_TOL * max(abs(x), abs(y)))
+
     y = float(y)
     if not math.isfinite(y):
         return y
     x = y + REL_TOL * abs(y)
-    while not rel_leq(x, y):
-        x = np.nextafter(x, -np.inf)
-    while rel_leq(np.nextafter(x, np.inf), y):
-        x = np.nextafter(x, np.inf)
-    return float(x)
+    while not leq(x):
+        x = math.nextafter(x, -math.inf)
+    while leq(math.nextafter(x, math.inf)):
+        x = math.nextafter(x, math.inf)
+    return x

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .model import REL_TOL, Instance, InternalError, Schedule
+from .model import Instance, InternalError, Schedule
 
 DEFAULT_CAP = 16
 # The cover counts in optimal_schedule are exact int64: a zeta transform of
@@ -28,18 +28,20 @@ DEFAULT_CAP = 16
 # 2^60 at n = 20.  A higher hard cap needs wider or modular counts.
 HARD_CAP = 20
 
-# Saturation stand-in for +inf affectance terms inside the vectorized table
-# build; 0 * HUGE stays 0 where np.inf would produce NaN.
-_HUGE = 1e300
-
 
 def _term_matrix(inst: Instance) -> np.ndarray:
-    """T[w, v] = affectance term of link w on link v, diagonals 0."""
+    """T[w, v] = affectance term of link w on link v, diagonals 0, +inf where saturated."""
     S, X = kernel.coords(inst, inst.senders), kernel.coords(inst, inst.receivers)
     t = kernel.terms(inst, S, inst.lengths, X).T.copy()  # C-contiguous, as the products expect
-    t[np.isinf(t)] = _HUGE
     np.fill_diagonal(t, 0.0)
     return t
+
+
+def _half_loads(bits: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """L[m, v] = load on link v from the links in bits[m]; 0 * inf is NaN, so +inf apart."""
+    load = bits @ np.where(np.isinf(t), 0.0, t)
+    load[bits @ np.isinf(t) > 0] = np.inf
+    return load
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,8 @@ def subset_table(inst: Instance, cap: int = DEFAULT_CAP) -> SubsetTable:
 
     The links split into the w lowest bits and the rest, with 2^w * n about
     ``kernel.BLOCK``.  Each half gets its load table once, a bit matrix times
-    the term matrix, with -inf as the load on the links outside the half's
-    mask so that they never count.  A group of high patterns then adds its
+    the term matrix, with NaN as the load on the links outside the half's
+    mask, which ``np.fmax`` skips.  A group of high patterns then adds its
     load rows to the whole low table, which gives every member's affectance
     in 2^w consecutive masks per pattern, and keeps each mask's largest load.
     A group holds ``BLOCK // (w * 2^(w-1))`` patterns (seven at n = 17 to 20,
@@ -79,31 +81,28 @@ def subset_table(inst: Instance, cap: int = DEFAULT_CAP) -> SubsetTable:
     costs as much in per-call overhead as in additions.
     Rounded addition is monotone, so the table stays downward closed.
 
-    A mask passes when its largest load x has x <= g(x) = thr + REL_TOL *
-    max(x, |thr|), rounded as written.  That is the verdict of the test on
-    every member: x is one of their loads, and each smaller load y passes
-    when x does.  With thr > 0, y <= thr passes as g(y) >= thr; above thr,
-    REL_TOL * y moves by far less than an ulp of thr across the band
-    (thr, g(x)], so g(x) is at most the float after g(y), and
-    g(y) < y < x <= g(x) cannot hold.  With thr <= 0, a load passes only at
-    0 when thr = 0, and never otherwise.
+    A mask passes when its largest load is at most ``kernel.rel_leq_cut``
+    of the threshold, the comparison greedy and ``slot_feasible`` make.
+    The test behind the cut is monotone in the load, so that is the verdict
+    of the test on every member.
     """
     n = inst.n
     _check_cap(n, cap)
-    thr = inst.params.affectance_threshold()
     if n == 0:
         return SubsetTable(feasible=np.ones(1, dtype=bool))
+    cut = kernel.rel_leq_cut(inst.params.affectance_threshold())
     t = _term_matrix(inst)
     w = min(n, max(1, (kernel.BLOCK // n).bit_length() - 1))
     lo_bits, hi_bits = _bit_matrix(w), _bit_matrix(n - w)
-    lo_load = (lo_bits @ t[:w]).T.copy()  # lo_load[v, i]: load on v from low mask i
-    lo_load[:w][lo_bits.T == 0] = -np.inf
-    hi_load = hi_bits @ t[w:]  # hi_load[h, v]: load on v from high mask h
-    hi_load[:, w:][hi_bits == 0] = -np.inf
+    lo_load = _half_loads(lo_bits, t[:w]).T.copy()  # lo_load[v, i]: load on v from low mask i
+    lo_load[:w][lo_bits.T == 0] = np.nan
+    hi_load = _half_loads(hi_bits, t[w:])  # hi_load[h, v]: load on v from high mask h
+    hi_load[:, w:][hi_bits == 0] = np.nan
     feasible = np.empty((len(hi_load), 1 << w), dtype=bool)
     for hs in kernel.blocks(len(hi_load), w << (w - 1)):
-        top = (lo_load + hi_load[hs, :, None]).max(axis=1)  # -inf for the empty mask
-        np.less_equal(top, thr + REL_TOL * np.maximum(top, abs(thr)), out=feasible[hs])
+        top = np.fmax.reduce(lo_load + hi_load[hs, :, None], axis=1)
+        np.less_equal(top, cut, out=feasible[hs])
+    feasible[0, 0] = True  # the empty mask, whose loads are all NaN
     return SubsetTable(feasible=feasible.reshape(-1))
 
 

@@ -7,15 +7,16 @@ decoding condition for v inside slot S is equivalent to
 
     affectance_S(v) <= 1/beta - noise/c_l
 
-and this additive form is what the scheduler and oracle manipulate.  Every
+and this additive form is what the scheduler and oracle manipulate; all
+three compare a load with ``kernel.rel_leq_cut`` of its threshold.  Every
 slot verdict is double-checked here against the raw power-ratio form of the
-SINR condition; the two must agree unless the worst load lies within rounding
-of the band edge.  All terms come from ``kernel``, a block of member
-receivers at a time, from coordinates gathered once per slot.  The
-affectance loads are sorted sequential sums of exact terms, as
-``sum(sorted(...))`` gives them; the raw form, computed on its own from the
-kernel's cheap distances, adds its powers with ``np.sum``, since its bits
-reach no output.
+SINR condition, compared with the cut of its own budget; the two must agree
+unless the worst load lies within rounding of the band edge.  All terms come
+from ``kernel``, a block of member receivers at a time, from coordinates
+gathered once per slot.  The affectance loads are sorted sequential sums of
+exact terms, as ``sum(sorted(...))`` gives them; the raw form, computed on
+its own from the kernel's cheap distances, adds its powers with ``np.sum``,
+since its bits reach no output.
 
 Terms where the cross distance is zero saturate to +inf, so any slot that
 collocates a sender with a foreign receiver is infeasible.
@@ -48,24 +49,25 @@ class FeasibilityResult:
 def slot_feasible(members: Iterable[int], inst: Instance) -> FeasibilityResult:
     """Decide whether all links in a slot can transmit concurrently.
 
-    Feasible iff every member's affectance stays within the threshold
-    1/beta - noise/c_l (relative tolerance 1e-9).  The verdict is checked
-    against the raw power-ratio form of the SINR condition, computed on its
-    own over every pair; InternalError is raised if they disagree on a slot
-    whose worst load is not within rounding of the band edge.
+    Feasible iff every member's affectance is at most ``kernel.rel_leq_cut``
+    of the threshold 1/beta - noise/c_l.  The verdict is checked against the
+    raw power-ratio form of the SINR condition, computed on its own over
+    every pair; InternalError is raised if they disagree on a slot whose
+    worst load is not within rounding of the band edge.
 
     The verdict, the worst link and its margin read the exact loads of a
     few members only.  One pass sums every member's cheap load and raw
-    interference.  ``rel_leq`` is monotone in the load, so the verdict is
-    that of the largest exact load, and ``thr - load`` is monotone too, so
-    the worst link is the first member whose margin rounds to the margin of
-    the largest load.  Its load is within d(max) = 4*eps*(|thr| + max) of
-    the largest: two reals that round to the same float m are within an ulp
-    of m, at most eps*|m|.  ``kernel.cheap_error`` gives a lower bound
-    ``low`` on the largest exact load from the largest finite cheap one, and
-    the exact loads are taken of every member whose cheap load
-    ``kernel.cheap_cuts`` cannot put at or below low - d(low).  Every other
-    member's exact load is below max - d(max), as x - d(x) grows with x.
+    interference.  Each member's verdict compares its load with that cut,
+    so the slot's is that of the largest exact load; ``thr - load`` is
+    monotone too, so the worst link is the first member whose margin rounds
+    to the margin of the largest load.  Its load is within
+    d(max) = 4*eps*(|thr| + max) of the largest: two reals that round to
+    the same float m are within an ulp of m, at most eps*|m|.
+    ``kernel.cheap_error`` gives a lower bound ``low`` on the largest exact
+    load from the largest finite cheap one, and the exact loads are taken of
+    every member whose cheap load ``kernel.cheap_cuts`` cannot put at or
+    below low - d(low).  Every other member's exact load is below
+    max - d(max), as x - d(x) grows with x.
     """
     member_list = sorted(set(members))
     if not member_list:
@@ -99,11 +101,11 @@ def slot_feasible(members: Iterable[int], inst: Instance) -> FeasibilityResult:
     below, _ = kernel.cheap_cuts(inst, low - 4 * kernel.EPS * (abs(thr) + low) - 2.0**-1070, len(M))
     exact = np.flatnonzero(~(cheap <= below))  # ascending, so argmin finds the first member
     aff = _exact_loads(inst, S, lengths, X, exact)
-    feasible = bool(kernel.rel_leq(aff.max(), thr))
+    feasible = bool(aff.max() <= kernel.rel_leq_cut(thr))
     # A link's own received power is c_l*len^alpha/len^alpha = c_l, and noise
     # leaves c_l - beta*noise of it for interference: this budget is beta*c_l
     # times thr, so the 1e-9 band is the same fraction of the budget in both forms.
-    raw_feasible = bool(kernel.rel_leq(p.beta * interference, p.c_l - p.beta * p.noise).all())
+    raw_feasible = bool((p.beta * interference).max() <= kernel.rel_leq_cut(p.c_l - p.beta * p.noise))
     # Each form rounds its own loads, by a few dozen ulps: the affectance
     # loads are sorted sequential sums, the raw ones pairwise sums (np.sum),
     # whose rounding grows only as log2 of the slot size, of terms from the

@@ -5,18 +5,22 @@ These are the loops the package used before every term moved to
 verdicts, schedules and argmax nodes exactly, values at a tight relative
 tolerance (Euclidean distances here come from ``math.dist``, in the kernel
 from ``np.hypot``).  Distances are read one pair at a time by ``dist``.
-``greedy_schedule_columns`` is the greedy scheduler's former loop, one
-kernel row of terms per link, tested with ``rel_leq`` itself;
-``greedy_schedule``, a block of rows at a time against one precomputed cut,
-must match it slot for slot.  ``slot_feasible_columns`` is slot
-feasibility's former column-major loop, which ``slot_feasible`` must match
-with a bit-equal worst margin.
+``rel_leq`` is the 1e-9 band-edge test on one pair of floats and
+``rel_leq_array`` the same test elementwise; the package states it once, as
+the comparison ``x <= kernel.rel_leq_cut(y)``, in greedy, slot feasibility
+and the exact oracle, and the references test every load with the predicate
+itself.  ``greedy_schedule_columns`` is the greedy scheduler's former loop,
+one kernel row of terms per link; ``greedy_schedule``, a block of rows at a
+time against one precomputed cut, must match it slot for slot.
+``slot_feasible_columns`` is slot feasibility's former column-major loop,
+which ``slot_feasible`` must match with a bit-equal worst margin.
 ``optimal_schedule_reference`` is the exact oracle's former O(3^n)
 submask dynamic program, over the package's own subset table, and
 ``zeta_reference`` its zeta and Moebius transforms one mask at a time.
 ``subset_table_elementwise`` is the subset table's former loop, which tests
-every member's load against the threshold; ``subset_table`` tests only the
-largest load of each mask and must give the same table bit for bit.
+every member's load with ``rel_leq_array``; ``subset_table`` compares only
+the largest load of each mask with the cut and must give the same table bit
+for bit.
 ``validate_instance_reference`` is validation as it was when it returned one
 diagnostic per offender, and ``aggregate_per_code`` folds that list into
 the one diagnostic per code that ``validate_instance`` returns.
@@ -59,6 +63,18 @@ def rel_leq(x: float, y: float, rel: float = REL_TOL) -> bool:
     if math.isinf(diff):
         return False
     return diff <= rel * max(abs(x), abs(y))
+
+
+def rel_leq_array(x, y) -> np.ndarray:
+    """``rel_leq`` elementwise: x <= y up to REL_TOL times the larger magnitude.
+
+    False where x - y is infinite or NaN.
+    """
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = x - y
+        tol = REL_TOL * np.maximum(np.abs(x), np.abs(y))
+        return (x <= y) | (np.isfinite(diff) & (diff <= tol))
 
 
 def dist(inst: Instance, p: int, q: int) -> float:
@@ -174,7 +190,6 @@ def slot_feasible_columns(members: Iterable[int], inst: Instance) -> tuple[bool,
     p = inst.params
     M = np.array(member_list, dtype=np.intp)
     lengths = inst.lengths[M][:, None]
-    log_lengths = np.log(lengths)
     aff = np.empty(len(M))
     interference = np.empty(len(M))
     for cols in kernel.blocks(len(M), len(M)):
@@ -182,14 +197,14 @@ def slot_feasible_columns(members: Iterable[int], inst: Instance) -> tuple[bool,
         own = M[:, None] == M[None, cols]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t = np.float_power(lengths / d, p.alpha)
-            r = p.c_l * np.exp(p.alpha * (log_lengths - np.log(d)))
+            r = p.c_l * np.exp(p.alpha * np.log(lengths / d))
         t[d == 0.0] = np.inf
         t[own] = r[own] = 0.0
         aff[cols] = _column_sums(t)
         interference[cols] = _column_sums(r)
     thr = p.affectance_threshold()
-    feasible = bool(kernel.rel_leq(aff, thr).all())
-    raw_feasible = bool(kernel.rel_leq(p.beta * interference, p.c_l - p.beta * p.noise).all())
+    feasible = bool(rel_leq_array(aff, thr).all())
+    raw_feasible = bool(rel_leq_array(p.beta * interference, p.c_l - p.beta * p.noise).all())
     window = np.finfo(float).eps * ((1.0 / p.beta + p.noise / p.c_l) / thr + 64)
     near_edge = abs(aff.max() / (thr * (1.0 + REL_TOL)) - 1.0) <= window
     if feasible != raw_feasible and not near_edge:
@@ -253,7 +268,7 @@ def greedy_schedule_columns(inst: Instance, cfg: SchedulerConfig) -> Schedule:
     for i, v in enumerate(order.tolist()):
         column = kernel.terms(inst, S[:i], L[:i], kernel.coords(inst, inst.receivers[v : v + 1]))[0]
         loads = np.bincount(slot_of[:i], weights=column, minlength=len(slots))
-        fits = np.flatnonzero(kernel.rel_leq(loads, thr))
+        fits = np.flatnonzero(rel_leq_array(loads, thr))
         k = int(fits[0]) if len(fits) else len(slots)
         if k == len(slots):
             slots.append([])
@@ -357,8 +372,9 @@ def zeta_reference(values: Iterable[int], n: int, op) -> list[int]:
 def subset_table_elementwise(inst: Instance, cap: int) -> np.ndarray:
     """The feasibility bit of every link subset, one high pattern at a time.
 
-    Same split and same half-table loads as ``subset_table``; each pattern
-    adds its load row to the low table and every member's load is tested.
+    Same split and same half-table products as ``subset_table``, with a
+    saturated (+inf) term counted apart; each pattern adds its load row to
+    the low table and every member's load is tested with ``rel_leq_array``.
     """
     n = inst.n
     _check_cap(n, cap)
@@ -366,23 +382,18 @@ def subset_table_elementwise(inst: Instance, cap: int) -> np.ndarray:
     if n == 0:
         return np.ones(1, dtype=bool)
     t = _term_matrix(inst)
+    saturated = np.isinf(t)
+    t[saturated] = 0.0
     w = min(n, max(1, (kernel.BLOCK // n).bit_length() - 1))
     lo_bits, hi_bits = _bit_matrix(w), _bit_matrix(n - w)
-    lo_load = (lo_bits @ t[:w]).T.copy()
-    lo_load[:w][lo_bits.T == 0] = -np.inf
-    hi_load = hi_bits @ t[w:]
-    hi_load[:, w:][hi_bits == 0] = -np.inf
+    lo_load, lo_inf = (lo_bits @ t[:w]).T, (lo_bits @ saturated[:w]).T
+    hi_load, hi_inf = hi_bits @ t[w:], hi_bits @ saturated[w:]
     feasible = np.empty((len(hi_load), 1 << w), dtype=bool)
-    load, tol = np.empty_like(lo_load), np.empty_like(lo_load)
-    ok = np.empty(lo_load.shape, dtype=bool)
-    for h, hi_row in enumerate(hi_load):
-        np.add(lo_load, hi_row[:, None], out=load)
-        # members' loads are >= 0: this is thr + REL_TOL * max(|load|, |thr|)
-        np.maximum(load, abs(thr), out=tol)
-        tol *= REL_TOL
-        tol += thr
-        np.less_equal(load, tol, out=ok)
-        np.all(ok, axis=0, out=feasible[h])
+    for h in range(len(hi_load)):
+        load = lo_load + hi_load[h][:, None]  # load[v, i]: on link v from the mask (h, i)
+        load[(lo_inf + hi_inf[h][:, None]) > 0] = np.inf
+        member = np.concatenate((lo_bits.T, np.repeat(hi_bits[h][:, None], 1 << w, axis=1))) > 0
+        feasible[h] = (rel_leq_array(load, thr) | ~member).all(axis=0)
     return feasible.reshape(-1)
 
 

@@ -682,6 +682,28 @@ def test_a_slot_on_the_band_edge_scaled_by_two_to_the_600_checks_as_unscaled(tmp
     assert outputs(2.0**600) == unscaled
 
 
+EXACT_THEN_VERIFY = {
+    # The load of link 2 -> 3 on link 0 -> 1 is 0.5000000005, the float above
+    # the cut of thr = 0.5, so verify rejects the slot {0, 1}.
+    "band-edge": Instance(
+        EuclideanMetric(points=((0.0,), (1.0,), (2.414213561665988,), (3.414213561665988,))),
+        [0, 2], [1, 3], PhysicalParams(alpha=2.0, beta=2.0)),
+    # Sender 2 sits on receiver 1: a +inf term, which thr = 1e301 must not pass.
+    "saturated": Instance(
+        MatrixMetric(d=[[0.0, 1.0, 1.0, 2.0], [1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0], [2.0, 1.0, 1.0, 0.0]]),
+        [0, 2], [1, 3], PhysicalParams(alpha=3.0, beta=1e-301)),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_THEN_VERIFY))
+def test_exact_returns_no_slot_that_verify_rejects(tmp_path, capsys, name):
+    inst, sched = tmp_path / "inst.json", str(tmp_path / "opt.json")
+    inst.write_text(save_instance(EXACT_THEN_VERIFY[name]))
+    code, out = run_ok(capsys, ["exact", "--in", str(inst), "--out", sched])
+    assert code == 0 and _strict_json(out) == {"optimal_length": 2}
+    assert run_ok(capsys, ["verify", "--in", str(inst), "--sched", sched])[0] == 0
+
+
 @pytest.mark.parametrize("k", [600, -600, 1000, -1000])
 def test_scaling_points_by_extreme_powers_of_two_changes_no_output(tmp_path, capsys, k):
     # Squares of coordinate differences overflow or underflow at these

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from linsched import (
+    EuclideanMetric,
     Instance,
     PhysicalParams,
     SchedulerConfig,
@@ -115,6 +116,13 @@ ELEMENTWISE_CASES = {
     "budget-0": _noisy(0.5),  # thr = 0: only loads of exactly 0 pass
     "budget-below-0": _noisy(0.6),
     "pseudometric": line_pseudometric(1, n=9),
+    # the load on link 0 is 0.5000000005, the float above the cut of thr = 0.5
+    "band-edge": Instance(EuclideanMetric(points=[[0.0], [1.0], [2.414213561665988], [3.414213561665988]]),
+                          [0, 2], [1, 3], PhysicalParams(alpha=2.0, beta=2.0)),
+    # sender 2 on receiver 1: a +inf term against thr = 1e301
+    "saturated-huge-budget": Instance(
+        MatrixMetric(d=[[0, 1, 1, 2], [1, 0, 0, 1], [1, 0, 0, 1], [2, 1, 1, 0]]),
+        [0, 2], [1, 3], PhysicalParams(alpha=3.0, beta=1e-301)),
 }
 
 

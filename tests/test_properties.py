@@ -66,6 +66,7 @@ from reference import (
     aggregate_per_code,
     greedy_schedule_columns,
     number_rows_reference,
+    rel_leq_array,
     save_instance_reference,
     save_schedule_reference,
     slot_feasible_columns,
@@ -489,7 +490,18 @@ def test_loads_on_a_cut_are_decided_as_the_column_loops(case, block):
     _filtered_decisions_are_the_column_loops(*case, block)
 
 
+def _band_edge_pair(scale: float) -> tuple[Instance, float]:
+    """Two links on a line scaled by ``scale``, whose worst load (4 / x)^3
+    lies within a few hundred ulps of the band edge 0.5*(1 + 1e-9)."""
+    x = 5.039684197899402
+    points = [[0.0, 0.0], [4.0 * scale, 0.0], [(x + 1.0) * scale, 0.0], [x * scale, 0.0]]
+    params = PhysicalParams(alpha=3.0, beta=2.0)
+    return Instance(EuclideanMetric(points=points), [0, 2], [1, 3], params), 1.25
+
+
 @settings(FIXED, max_examples=150)
+@example(_band_edge_pair(2.0**600), kernel.BLOCK)
+@example(_band_edge_pair(2.0**-600), kernel.BLOCK)
 @given(st.one_of(mirrored_links(), random_links(), asymmetric_links()), st.sampled_from((1, 8, kernel.BLOCK)))
 def test_filtered_decisions_are_the_column_loops(case, block):
     _filtered_decisions_are_the_column_loops(*case, block)
@@ -508,7 +520,9 @@ def _floats_around(x: float, k: int = 300) -> list[float]:
 @settings(FIXED, max_examples=40)
 @given(
     st.sampled_from((0.0, 5e-324, 1e-300, 4.0**-3, 1.0 - 2.0**-53))  # 0.0: c^-alpha underflows
+    | st.sampled_from((-0.0, -5e-324, 2.2250738585072014e-308, -1.0, 1e300, -1e300, -1e-300))
     | st.floats(0.0, 1.0)
+    | st.floats(-1e300, 1e300)
     | st.builds(lambda c, alpha: c**-alpha, st.floats(1.001, 1e3), st.floats(1.01, 400.0))
 )
 def test_the_admission_cut_is_rel_leq(thr):
@@ -519,7 +533,7 @@ def test_the_admission_cut_is_rel_leq(thr):
         + _floats_around(thr * (1.0 + REL_TOL))
         + _floats_around(cut)
     )
-    assert ((xs <= cut) == kernel.rel_leq(xs, thr)).all()
+    assert ((xs <= cut) == rel_leq_array(xs, thr)).all()
 
 
 def _loads_on_the_cut() -> list[tuple[str, Instance, SchedulerConfig]]:
@@ -571,6 +585,49 @@ def test_subset_table_downward_closed_and_matches_slots(data):
         assert not (feasible[with_v] & ~feasible[with_v ^ (1 << v)]).any()
     for mask in data.draw(st.lists(st.integers(1, len(feasible) - 1), min_size=1, max_size=8)):
         members = [v for v in range(inst.n) if mask >> v & 1]
+        assert feasible[mask] == slot_feasible(members, inst).feasible
+
+
+@st.composite
+def two_term_loads_on_the_cut(draw, beta: float) -> Instance:
+    """Unit link A from 0 to 1 on a line, link B beyond it pointing away,
+    and unit link C on the other side pointing at it, whose terms on A add
+    up to the cut of 1/beta, give or take up to 300 floats.  B's term is
+    most of the load and C's a drawn fraction of it, at most 1e-3; C goes
+    where its term is the target less B's, which is exact, so its own
+    rounding, far below an ulp of the target, leaves the sum on the target.
+    A load of at most two nonzero terms rounds once in any order."""
+    params = PhysicalParams(alpha=draw(st.sampled_from((2.0, 3.0))), beta=beta)
+    alpha = params.alpha
+    cut = kernel.rel_leq_cut(params.affectance_threshold())
+    target = cut + draw(st.integers(-3, 3) | st.integers(-300, 300)) * math.ulp(cut)
+    share = draw(st.floats(1e-9, 1e-3))  # of the target, from C
+    s_b = 1.0 + (target * (1.0 - share)) ** (-1 / alpha)
+    points = np.array([[0.0], [1.0], [s_b], [s_b + 1.0], [0.0], [0.0]])
+
+    def term_on_a(sender: int) -> float:
+        inst = Instance(EuclideanMetric(points=points), [0, sender], [1, sender + 1], params)
+        return float(kernel.terms(inst, points[[sender]], inst.lengths[1:], points[[1]])[0, 0])
+
+    rest = target - term_on_a(2)
+    points[4, 0] = 1.0 - rest ** (-1 / alpha)
+    points[5, 0] = points[4, 0] + 1.0  # exact, so C's length is 1
+    assert 0.0 < rest < target / 2 and term_on_a(2) + term_on_a(4) == target
+    order = draw(st.permutations((0, 2, 4)))  # the senders of A, B and C in any order of link ids
+    return Instance(EuclideanMetric(points=points), order, [p + 1 for p in order], params)
+
+
+@pytest.mark.parametrize("beta", (1.5, 2.0, 3.0, 4.0))
+@settings(FIXED, max_examples=80)
+@given(st.data())
+def test_subset_table_decides_two_term_loads_on_the_cut_as_slot_feasible(beta, data):
+    # Both sum the same terms, and with at most three links a load has two
+    # nonzero terms, so both compare the same float with the same cut.
+    inst = data.draw(two_term_loads_on_the_cut(beta))
+    with mock.patch.object(kernel, "BLOCK", data.draw(st.sampled_from((1, 8, kernel.BLOCK)))):
+        feasible = subset_table(inst).feasible
+    for mask in range(1, 8):
+        members = [v for v in range(3) if mask >> v & 1]
         assert feasible[mask] == slot_feasible(members, inst).feasible
 
 
@@ -699,7 +756,7 @@ def test_cross_check_agrees_at_small_budgets(case):
     # Never InternalError: a split of the two forms on the band edge itself
     # keeps the affectance verdict.
     res = slot_feasible(range(inst.n), inst)
-    assert res.feasible == bool(kernel.rel_leq(load, p.affectance_threshold()))
+    assert res.feasible == bool(rel_leq_array(load, p.affectance_threshold()))
 
 
 # ---------------------------------------------------------------------------
