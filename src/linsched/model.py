@@ -82,22 +82,6 @@ class EuclideanMetric:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    @cached_property
-    def squares_in_range(self) -> bool:
-        """Whether every nonzero coordinate magnitude lies in [2^-400, 2^500].
-
-        Then no square of a coordinate difference overflows or underflows,
-        and ``kernel.cheap_ratios`` may take a distance as ``sqrt`` of the
-        summed squares.  A float of magnitude 2^-400 or more is a multiple of
-        2^-452, so a nonzero difference of two such coordinates (or of one
-        and 0) is at least 2^-452, and its square at least 2^-904, a normal
-        float.  A difference of at most 2^501 squares to at most 2^1002.
-        """
-        a = np.abs(self.points)
-        return bool(a.max(initial=0.0) <= 2.0**500) and bool(
-            np.min(a, where=a > 0.0, initial=np.inf) >= 2.0**-400
-        )
-
 
 @dataclass(frozen=True)
 class MatrixMetric:
@@ -249,6 +233,15 @@ class Instance:
             ],
             np.float64,
         )
+
+    @cached_property
+    def cheap_scale(self) -> float:
+        """``kernel.float32_scale`` of the instance, taken once: the power of
+        two by which the cheap pass scales the points, or 0.0 where it takes
+        exact distances."""
+        from .kernel import float32_scale  # kernel imports this module
+
+        return float32_scale(self)
 
     def used_nodes(self) -> np.ndarray:
         """Sorted distinct node indices appearing as a sender or receiver."""
@@ -518,7 +511,7 @@ def _dumps(doc: dict) -> str:
 
     ``doc`` holds dicts with str keys, lists, 2-D float arrays, ints, floats
     and strs; FormatError if a number is NaN or infinite.  The text is joined
-    once, from pieces of at most one array row.
+    once, from pieces of at most one array row or one list of ints.
     """
     out: list[str] = []
     _encode(doc, "\n", out)
@@ -536,6 +529,10 @@ def _encode(value, newline: str, out: list[str]) -> None:
             _encode(value[key], inner, out)
         out.append(newline + "}" if value else "{}")
     elif isinstance(value, list):
+        text = _int_list(value, newline)
+        if text is not None:
+            out.append(text)
+            return
         for k, x in enumerate(value):
             out.append(("," if k else "[") + inner)
             _encode(x, inner, out)
@@ -560,6 +557,62 @@ def _encode(value, newline: str, out: list[str]) -> None:
         out.append(int.__repr__(value))
     else:  # a str
         out.append(json.dumps(value))
+
+
+def _int_list(value: list, newline: str) -> str | None:
+    """The text ``_encode`` writes for a nonempty list of ints (a slot), or of
+    dicts of one key set and int values (the links), in one join; None for
+    any other list.  Booleans are not ints here."""
+    if not value:
+        return None
+    inner = newline + "  "
+    if all(type(x) is int for x in value):
+        return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
+    first = value[0]
+    if not (type(first) is dict and first):
+        return None
+    if not all(type(x) is dict and x.keys() == first.keys() for x in value):
+        return None
+    keys = sorted(first)
+    columns = [[x[key] for x in value] for key in keys]
+    if not all(type(x) is int for column in columns for x in column):
+        return None
+    # %d writes an int as int.__repr__ does; a literal % in a key is doubled.
+    fields = ",".join(inner + "  " + json.dumps(key).replace("%", "%%") + ": %d" for key in keys)
+    records = map(("{" + fields + inner + "}").__mod__, zip(*columns))
+    return "[" + inner + ("," + inner).join(records) + newline + "]"
+
+
+_LINK_FIELDS = ("id", "sender", "receiver")
+
+
+def _link_nodes(links: list) -> tuple[list[int], list[int]]:
+    """The sender and the receiver of every entry of ``links``.
+
+    Each entry must be an object of exactly the integer fields id, sender
+    and receiver, and each id must equal the entry's position.  The whole
+    list is checked at once; only a rejected one is walked entry by entry,
+    to name its first offender.
+    """
+    fields = set(_LINK_FIELDS)
+    if all(type(entry) is dict and entry.keys() == fields for entry in links):
+        ids, senders, receivers = ([entry[key] for entry in links] for key in _LINK_FIELDS)
+        if set(map(type, chain(ids, senders, receivers))) <= {int} and ids == list(range(len(ids))):
+            return senders, receivers  # bool is not int
+    for i, entry in enumerate(links):
+        link = f"links[{i}]"
+        _reject_unknown(_checked(entry, dict, link), _LINK_FIELDS, link)
+        # Schedules name links by id, while every algorithm indexes them by
+        # position, so the two must coincide.
+        link_id = _field(entry, "id", link, int)
+        if link_id != i:
+            raise FormatError(
+                f"field '{link}.id' is {link_id}, but link ids must equal their "
+                "positions (link-ids)"
+            )
+        _field(entry, "sender", link, int)
+        _field(entry, "receiver", link, int)
+    raise InternalError("links: the one-pass check rejected what the entry walk accepts")
 
 
 def load_instance(text: str) -> Instance:
@@ -594,22 +647,7 @@ def load_instance(text: str) -> Instance:
     else:
         raise FormatError(f"unknown metric type {mtype!r}")
 
-    senders, receivers = [], []
-    links_raw = _field(doc, "links", where, list, "links")
-    for i, lraw in enumerate(links_raw):
-        link = f"links[{i}]"
-        lraw = _checked(lraw, dict, link)
-        _reject_unknown(lraw, {"id", "sender", "receiver"}, link)
-        # Schedules name links by id, while every algorithm indexes them by
-        # position, so the two must coincide.
-        link_id = _field(lraw, "id", link, int)
-        if link_id != i:
-            raise FormatError(
-                f"field '{link}.id' is {link_id}, but link ids must equal their "
-                "positions (link-ids)"
-            )
-        senders.append(_field(lraw, "sender", link, int))
-        receivers.append(_field(lraw, "receiver", link, int))
+    senders, receivers = _link_nodes(_field(doc, "links", where, list, "links"))
     try:
         return Instance(metric=metric, senders=senders, receivers=receivers, params=params)
     except ValueError as exc:

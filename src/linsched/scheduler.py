@@ -92,59 +92,101 @@ def greedy_schedule(inst: Instance, cfg: SchedulerConfig) -> Schedule:
     """First-fit greedy over length-sorted links, a block of positions at a time.
 
     The sender and receiver coordinates and the lengths are gathered once,
-    in processing order.  A load is admitted when it is at most
-    ``cut = kernel.rel_leq_cut(thr)``, which is the test ``rel_leq(load, thr)``;
-    the exact load of a slot on a link is its terms from ``kernel.terms``
-    added one by one in placement order.
+    in processing order, for the exact and for the cheap terms.  A load is
+    admitted when it is at most ``cut = kernel.rel_leq_cut(thr)``, which is
+    the test ``rel_leq(load, thr)``; the exact load of a slot on a link is
+    its terms from ``kernel.terms`` added one by one in placement order.
 
-    First fit runs on cheap loads.  For each block of positions, one block
-    of ``kernel.cheap_power`` terms gives every link placed up to the
-    block's end on the block's receivers, a row per receiver.  A bincount
-    over row*slots + slot adds up the terms of the links placed before the
-    block; inside the block, each placement adds its terms to its slot's
-    loads on the later receivers.  ``kernel.cheap_cuts`` turns the cut into
-    two cheap ones for loads of at most n terms.  A link skips the slots
-    whose cheap load is above ``above``, whose exact loads are surely past
-    the cut, and joins the first other slot if its cheap load is at most
-    ``below``, where the exact load surely fits.  Otherwise (a load within
-    the bound of the cut, or NaN) the link's exact row from ``kernel.terms``
-    and one bincount over the slots placed before it give every exact load,
-    each the same additions in the same order as above, and first fit runs
-    on those.  Either way the link goes where the exact loads put it.
+    First fit runs on cheap loads.  The cheap coordinates and weights of the
+    placed links are kept in one buffer, grouped by slot in runs that grow
+    to both sides from its middle; placing a link in slot k moves one column
+    of each run on the side of k that has fewer runs.  For each block of
+    positions the block's own links are staged past the last run, and one
+    block of ``kernel.cheap_power`` terms over the buffer gives every placed
+    link and every link of the block on the block's receivers, a row per
+    receiver, with the placed links in slot order: one ``np.add.reduceat``
+    sums each slot's load in float64.  Inside the block, each placement adds
+    its terms to its slot's loads on the later receivers.
+    ``kernel.cheap_cuts`` turns the cut into two cheap ones for loads of at
+    most n terms.  A link skips the slots whose cheap load is above
+    ``above``, whose exact loads are surely past the cut, and joins the first
+    other slot if its cheap load is at most ``below``, where the exact load
+    surely fits.  Otherwise (a load within the bound of the cut, or NaN) the
+    link's exact row from ``kernel.terms`` and one bincount over the slots
+    placed before it give every exact load, each the same additions in the
+    same order as above, and first fit runs on those.  Either way the link
+    goes where the exact loads put it.
     """
     n = inst.n
     if n == 0:
         return Schedule(slots=())
     alpha = inst.params.alpha
     cut = kernel.rel_leq_cut(cfg.admit_threshold(alpha))
-    below, above = kernel.cheap_cuts(inst, cut, n)
+    below, above = kernel.cheap_cuts(kernel.cheap_bound(inst), cut, n)
     order = _processing_order(inst)
-    S = kernel.coords(inst, inst.senders[order])
-    X = kernel.coords(inst, inst.receivers[order])
-    L = inst.lengths[order]
+    senders, receivers = inst.senders[order], inst.receivers[order]
+    S, X, L = kernel.coords(inst, senders), kernel.coords(inst, receivers), inst.lengths[order]
+    CS, CX = kernel.cheap_coords(inst, senders), kernel.cheap_coords(inst, receivers)
+    W = kernel.cheap_weights(inst, L)[0]
     links = order.tolist()
     slot_of = np.empty(n, dtype=np.intp)  # the slot of the link at each position
+    # The cheap coordinates and weights of the links placed so far, grouped
+    # by slot: slot k holds columns edge[k] : edge[k + 1] of G and GW.  At
+    # most n links go left or right of the middle, and a block of at most n
+    # is staged past the last run.
+    G = np.empty(CS.shape[:-1] + (3 * n,), CS.dtype)
+    GW = np.empty(3 * n, W.dtype)
+    edge = [n]
+    # one row per axis (or of node ids) and the weights, to move a column by
+    grouped, placed = [*G.reshape(-1, 3 * n), GW], [*CS.reshape(-1, n), W]
     slots: list[list[int]] = []
     for span in kernel.blocks(n, n):
         a, b = span.start, span.stop
-        # T[c, i]: the cheap term of position i on position a + c
-        T = kernel.cheap_power(kernel.cheap_ratios(inst, S[:b], L[:b], X[span]), alpha)
-        width = len(slots) + b - a  # room for every slot this block can open
-        bins = slot_of[:a] + np.arange(0, (b - a) * width, width)[:, None]
-        loads = np.bincount(bins.ravel(), T[:, :a].ravel(), minlength=(b - a) * width)
-        loads = loads.astype(np.float64, copy=False).reshape(b - a, width)  # a = 0: 0.0
+        lo, hi = edge[0], edge[-1]
+        G[..., hi : hi + b - a] = CS[..., span]
+        GW[hi : hi + b - a] = W[span]
+        # T[c, i]: the cheap term on position a + c of the link in column
+        # lo + i, a placed link for i < a and position i for i >= a
+        columns = slice(lo, hi + b - a)
+        D = kernel.cheap_distances(inst, G[..., columns], CX[..., span])
+        T = kernel.cheap_power(inst, D, GW[columns])
+        loads = np.zeros((b - a, len(slots) + b - a))  # room for every slot this block can open
+        if a:
+            np.add.reduceat(T[:, :a], np.subtract(edge[:-1], lo), axis=1, dtype=np.float64,
+                            out=loads[:, : len(slots)])
+        block = T[:, a:].astype(np.float64)
         for c, v in enumerate(links[span]):
+            j = a + c
             # The next new slot, at load 0.0, is never past the cut.
-            row = loads[c, : len(slots) + 1]
-            k = int((row > above).argmin())
-            if not row[k] <= below:
-                j = a + c
+            k = int((loads[c, : len(slots) + 1] > above).argmin())
+            if not loads[c, k] <= below:
                 exact = kernel.terms(inst, S[:j], L[:j], X[j : j + 1])[0]
                 row = np.bincount(slot_of[:j], exact, minlength=len(slots) + 1)
                 k = int((row <= cut).argmax())
             if k == len(slots):
                 slots.append([])
+                edge.append(edge[-1])
             slots[k].append(v)
-            slot_of[a + c] = k
-            loads[c + 1 :, k] += T[c + 1 :, a + c]
+            slot_of[j] = k
+            if j + 1 < b:
+                loads[c + 1 :, k] += block[c + 1 :, c]
+            # Slot k's run grows by a column: each run left of it hands its
+            # last column on to one before its start, or each run right of it
+            # its first column on to one past its end, whichever side has
+            # fewer runs.  Link j takes the column so freed.
+            if k <= len(slots) - 1 - k:
+                for i in range(k + 1):
+                    edge[i] -= 1
+                moves = [(edge[i + 1], edge[i]) for i in range(k)]
+                free = edge[k]
+            else:
+                for i in range(k + 1, len(slots) + 1):
+                    edge[i] += 1
+                moves = [(edge[i] - 1, edge[i + 1] - 1) for i in range(len(slots) - 1, k, -1)]
+                free = edge[k + 1] - 1
+            for src, dst in moves:
+                for axis in grouped:
+                    axis[dst] = axis[src]
+            for axis, values in zip(grouped, placed):
+                axis[free] = values[j]
     return Schedule(slots=tuple(frozenset(slot) for slot in slots))

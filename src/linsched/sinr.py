@@ -13,10 +13,15 @@ slot verdict is double-checked here against the raw power-ratio form of the
 SINR condition, compared with the cut of its own budget; the two must agree
 unless the worst load lies within rounding of the band edge.  All terms come
 from ``kernel``, a block of member receivers at a time, from coordinates
-gathered once per slot.  The affectance loads are sorted sequential sums of
-exact terms, as ``sum(sorted(...))`` gives them; the raw form, computed on
-its own from the kernel's cheap distances, adds its powers with ``np.sum``,
-since its bits reach no output.
+gathered once per slot.  One pass over every pair takes the kernel's cheap
+distances (squared, of float32-range points) and from them the float32
+cheap terms, which only pick the members whose exact loads are needed, and
+the raw form's float64 powers.  The affectance loads are sorted sequential
+sums of exact terms, as ``sum(sorted(...))`` gives them; the raw form adds
+its powers with ``np.sum``, since its bits reach no output.  The
+thresholds, cuts and cross-check window are taken once per parameter set,
+not per slot, and a slot of one link, which no other sender reaches, skips
+the pass.
 
 Terms where the cross distance is zero saturate to +inf, so any slot that
 collocates a sender with a foreign receiver is infeasible.
@@ -25,12 +30,13 @@ collocates a sender with a foreign receiver is infeasible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
 from . import kernel
-from .model import REL_TOL, Instance, InternalError, Schedule, check_partition
+from .model import REL_TOL, Instance, InternalError, PhysicalParams, Schedule, check_partition
 
 
 @dataclass(frozen=True)
@@ -73,48 +79,12 @@ def slot_feasible(members: Iterable[int], inst: Instance) -> FeasibilityResult:
     if not member_list:
         raise ValueError("slot_feasible requires a nonempty slot")
     p = inst.params
-    M = np.array(member_list, dtype=np.intp)
-    S, X = kernel.coords(inst, inst.senders[M]), kernel.coords(inst, inst.receivers[M])
-    lengths = inst.lengths[M]
-    cheap = np.empty(len(M))
-    interference = np.empty(len(M))  # raw form: summed received power over c_l
-    for rows in kernel.blocks(len(M), len(M)):
-        q = kernel.cheap_ratios(inst, S, lengths, X[rows])  # q[j, i]: sender i, receiver rows.start + j
-        own = np.arange(len(q)), np.arange(rows.start, rows.stop)
-        t = kernel.cheap_power(q, p.alpha)
-        t[own] = 0.0
-        cheap[rows] = t.sum(axis=1)
-        # Raw form: received power c_l*len_w^alpha / d^alpha of every other
-        # sender, as exp(alpha*log(len_w/d)) so that len_w^alpha and d^alpha
-        # cannot overflow into inf/inf, and so that the rounding of the
-        # logarithm does not grow with the scale of the points.  d = 0
-        # gives +inf.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            received = np.exp(p.alpha * np.log(q))
-        received[own] = 0.0
-        interference[rows] = received.sum(axis=1)
-    interference *= p.c_l
-    thr = p.affectance_threshold()
-    r, f = kernel.cheap_error(inst, len(M))
-    top = float(cheap.max(where=np.isfinite(cheap), initial=0.0))
-    low = top * (1.0 - r) - f if r < 1.0 else 0.0  # the largest exact load is at least this
-    below, _ = kernel.cheap_cuts(inst, low - 4 * kernel.EPS * (abs(thr) + low) - 2.0**-1070, len(M))
-    exact = np.flatnonzero(~(cheap <= below))  # ascending, so argmin finds the first member
-    aff = _exact_loads(inst, S, lengths, X, exact)
-    feasible = bool(aff.max() <= kernel.rel_leq_cut(thr))
-    # A link's own received power is c_l*len^alpha/len^alpha = c_l, and noise
-    # leaves c_l - beta*noise of it for interference: this budget is beta*c_l
-    # times thr, so the 1e-9 band is the same fraction of the budget in both forms.
-    raw_feasible = bool((p.beta * interference).max() <= kernel.rel_leq_cut(p.c_l - p.beta * p.noise))
-    # Each form rounds its own loads, by a few dozen ulps: the affectance
-    # loads are sorted sequential sums, the raw ones pairwise sums (np.sum),
-    # whose rounding grows only as log2 of the slot size, of terms from the
-    # cheap distances.  Each also rounds its own budget, by an ulp of 1/beta
-    # and of noise/c_l relative to thr.  So the verdicts may split only on a
-    # worst load within that window of the band edge, and there the
-    # affectance verdict stands.
-    window = kernel.EPS * ((1.0 / p.beta + p.noise / p.c_l) / thr + 64)
-    near_edge = abs(aff.max() / (thr * (1.0 + REL_TOL)) - 1.0) <= window
+    thr, cut, raw_cut, window = _budget(p)
+    exact, aff, interference = _loads(inst, np.array(member_list, dtype=np.intp), thr)
+    worst_load = float(aff.max())
+    feasible = worst_load <= cut
+    raw_feasible = bool((p.beta * interference).max() <= raw_cut)
+    near_edge = abs(worst_load / (thr * (1.0 + REL_TOL)) - 1.0) <= window
     if feasible != raw_feasible and not near_edge:
         raise InternalError(
             f"raw SINR and affectance-form verdicts diverged on slot {member_list}"
@@ -128,13 +98,70 @@ def slot_feasible(members: Iterable[int], inst: Instance) -> FeasibilityResult:
     )
 
 
+def _loads(inst: Instance, M: np.ndarray, thr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(exact, aff, interference) of the slot M, as ``slot_feasible`` reads
+    them: the ascending members whose exact loads can be the largest or
+    round to its margin, those exact loads, and the raw interference on every
+    member, summed received power of the other senders."""
+    if len(M) == 1:  # no other sender: both loads are the empty sum
+        return np.zeros(1, dtype=np.intp), np.zeros(1), np.zeros(1)
+    p = inst.params
+    senders, receivers, lengths = inst.senders[M], inst.receivers[M], inst.lengths[M]
+    S, X = kernel.cheap_coords(inst, senders), kernel.cheap_coords(inst, receivers)
+    W, R = kernel.cheap_weights(inst, lengths)
+    cheap = np.empty(len(M))
+    interference = np.empty(len(M))
+    for rows in kernel.blocks(len(M), len(M)):
+        # D[j, i]: sender i, receiver rows.start + j; +inf on the own pairs
+        # D[j, rows.start + j] makes their cheap and raw terms 0.
+        D = kernel.cheap_distances(inst, S, X[..., rows])
+        D.reshape(-1)[rows.start :: len(M) + 1] = np.inf
+        cheap[rows] = kernel.cheap_power(inst, D, W).sum(axis=1, dtype=np.float64)
+        # Raw form: received power c_l*len_w^alpha / d^alpha of every other
+        # sender; d = 0 gives +inf.
+        interference[rows] = kernel.received_powers(inst, D, R).sum(axis=1)
+    interference *= p.c_l
+    bound = kernel.cheap_bound(inst)
+    r, f = kernel.cheap_error(bound, len(M))
+    top = float(cheap.max(where=np.isfinite(cheap), initial=0.0))
+    low = top * (1.0 - r) - f if r < 1.0 else 0.0  # the largest exact load is at least this
+    margin_cut = low - 4 * kernel.EPS * (abs(thr) + low) - 2.0**-1070
+    below, _ = kernel.cheap_cuts(bound, margin_cut, len(M))
+    exact = np.flatnonzero(~(cheap <= below))  # ascending, so argmin finds the first member
+    S, X = kernel.coords(inst, senders), kernel.coords(inst, receivers[exact])
+    aff = _exact_loads(inst, S, lengths, X, exact)
+    return exact, aff, interference
+
+
+@lru_cache(maxsize=64)
+def _budget(p: PhysicalParams) -> tuple[float, float, float, float]:
+    """The threshold, its cut, the raw form's cut and the window within which
+    the two verdicts may split, once per parameter set rather than per slot.
+
+    A link's own received power is c_l*len^alpha/len^alpha = c_l, and noise
+    leaves c_l - beta*noise of it for interference: this budget is beta*c_l
+    times thr, so the 1e-9 band is the same fraction of the budget in both
+    forms.  Each form rounds its own loads, by a few dozen ulps: the
+    affectance loads are sorted sequential sums, the raw ones pairwise sums
+    (np.sum), whose rounding grows only as log2 of the slot size, of terms
+    from the cheap distances.  Each also rounds its own budget, by an ulp of
+    1/beta and of noise/c_l relative to thr.  So the verdicts may split only
+    on a worst load within that window of the band edge, and there the
+    affectance verdict stands.
+    """
+    thr = p.affectance_threshold()
+    window = kernel.EPS * ((1.0 / p.beta + p.noise / p.c_l) / thr + 64)
+    return thr, kernel.rel_leq_cut(thr), kernel.rel_leq_cut(p.c_l - p.beta * p.noise), window
+
+
 def _exact_loads(
     inst: Instance, S: np.ndarray, lengths: np.ndarray, X: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
-    """The affectance on the slot members ``rows``: exact terms, own term 0, sorted sums."""
+    """The affectance on the slot members ``rows``, whose receivers' ``coords``
+    are X: exact terms, own term 0, sorted sums."""
     aff = np.empty(len(rows))
     for part in kernel.blocks(len(rows), len(S)):
-        t = kernel.terms(inst, S, lengths, X[rows[part]])
+        t = kernel.terms(inst, S, lengths, X[part])
         t[np.arange(len(t)), rows[part]] = 0.0
         aff[part] = kernel.ascending_sums(t)
     return aff

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from linsched import GenSpec, Instance, PhysicalParams, bounds, kernel, random_euclidean
+from linsched import EuclideanMetric, GenSpec, Instance, PhysicalParams, bounds, kernel, random_euclidean
 from linsched.model import MatrixMetric
 from linsched.gen import SplitMix64
 
@@ -43,6 +43,18 @@ def full_scan_measure(members, inst: Instance) -> tuple[float, int]:
     unbounded = lambda inst, W, nodes: np.full(len(nodes), np.inf)  # noqa: E731
     with mock.patch.object(bounds, "_upper_bounds", unbounded):
         return bounds.interference_measure(members, inst)
+
+
+def with_far_links(inst: Instance, k: int = 8) -> Instance:
+    """The planar instance and k more links of length 1 to 2, spread over a
+    box of 1e30: squared distances beyond the float32 range."""
+    rng = np.random.default_rng(k)
+    x, length = rng.uniform(0.0, 1e30, k), rng.uniform(1.0, 2.0, k)
+    far = np.column_stack([x, np.zeros(k), x, length]).reshape(2 * k, 2)  # sender, then receiver
+    first = len(inst.metric.points)
+    return Instance(EuclideanMetric(points=np.vstack([inst.metric.points, far])),
+                    [*inst.senders, *range(first, first + 2 * k, 2)],
+                    [*inst.receivers, *range(first + 1, first + 2 * k, 2)], inst.params)
 
 
 def line_pseudometric(seed: int, n: int = 12) -> Instance:

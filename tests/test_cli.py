@@ -22,6 +22,7 @@ from linsched import (
 from linsched.model import Diagnostic, InternalError, MatrixMetric, Schedule
 
 import reference as ref
+from conftest import with_far_links
 
 
 def run_ok(capsys, argv):
@@ -706,8 +707,8 @@ def test_exact_returns_no_slot_that_verify_rejects(tmp_path, capsys, name):
 
 @pytest.mark.parametrize("k", [600, -600, 1000, -1000])
 def test_scaling_points_by_extreme_powers_of_two_changes_no_output(tmp_path, capsys, k):
-    # Squares of coordinate differences overflow or underflow at these
-    # scales, so the cheap distances fall back to hypot.
+    # The float32 cheap terms read the points scaled back to a longest link
+    # near 1, and the exact terms are scale-free.
     path = tmp_path / "inst.json"
     assert cli.run(gen_args(path, n=300, seed=3)) == 0
     inst = load_instance(path.read_text())
@@ -728,3 +729,45 @@ def test_scaling_points_by_extreme_powers_of_two_changes_no_output(tmp_path, cap
         return [run_ok(capsys, argv), run_ok(capsys, verify)], sched_path.read_bytes()
 
     assert stdout(scaled_path) == stdout(path)
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["box-40", "box-40-and-box-1e30"])
+def test_both_sides_of_the_float32_range_schedule_and_verify_as_the_column_loops(tmp_path, capsys, far):
+    # Instances whose squared distances fit float32 take float32 cheap terms;
+    # the others take exact distances.  Either way every output is the
+    # exact kernel's.
+    path, sched_path = tmp_path / "inst.json", tmp_path / "sched.json"
+    assert cli.run(gen_args(path, n=60, seed=2, extra=["--box", "40"])) == 0
+    inst = load_instance(path.read_text())
+    if far:
+        inst = with_far_links(inst, 20)
+        path.write_text(save_instance(inst))
+    assert bool(inst.cheap_scale) != far
+    code, out = run_ok(capsys, ["schedule", "--in", str(path), "--c", "4", "--out", str(sched_path)])
+    sched = load_schedule(sched_path.read_text())
+    assert sched == ref.greedy_schedule_columns(inst, scheduler.SchedulerConfig(c=4.0))
+    assert sched.length > 1  # links that interact
+    code, out = run_ok(capsys, ["verify", "--in", str(path), "--sched", str(sched_path)])
+    columns = [ref.slot_feasible_columns(slot, inst) for slot in sched.slots]
+    report = _strict_json(out)
+    assert [(s["feasible"], s["worst_link"], s["worst_margin"]) for s in report["slots"]] == columns
+    assert code == (0 if all(feasible for feasible, _, _ in columns) else 1)
+
+
+def test_points_on_a_far_constant_axis_schedule_and_verify_as_the_column_loops(tmp_path, capsys):
+    # Every point lies at x = 1e300 and the links are 1e-10 long: scaled by
+    # 2^33, the x coordinates would be +inf, so the instance takes exact
+    # distances.
+    points = [[1e300, 0.0], [1e300, 1e-10], [1e300, 1.0], [1e300, 1.0 + 1e-10]]
+    inst = Instance(EuclideanMetric(points=points), [0, 2], [1, 3], PhysicalParams(3.0, 2.0))
+    assert inst.cheap_scale == 0.0
+    path, sched_path = tmp_path / "inst.json", tmp_path / "sched.json"
+    path.write_text(save_instance(inst))
+    assert run_ok(capsys, ["schedule", "--in", str(path), "--c", "4", "--out", str(sched_path)])[0] == 0
+    sched = load_schedule(sched_path.read_text())
+    assert sched == ref.greedy_schedule_columns(inst, scheduler.SchedulerConfig(c=4.0))
+    code, out = run_ok(capsys, ["verify", "--in", str(path), "--sched", str(sched_path)])
+    report = _strict_json(out)
+    columns = [ref.slot_feasible_columns(slot, inst) for slot in sched.slots]
+    assert [(s["feasible"], s["worst_link"], s["worst_margin"]) for s in report["slots"]] == columns
+    assert code == 0

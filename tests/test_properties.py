@@ -6,8 +6,8 @@ links (verdicts, and the greedy schedule on tie-free lengths) and under
 scaling points or matrix entries by a power of two, the blocked greedy
 against one kernel column per link, greedy admission and slot feasibility
 on the edges of their cheap-term decisions (loads on a cut, ties, +inf and
-underflowing terms, 1 to 3 dimensions, asymmetric matrices, points beyond
-the range of exact squares) against the column loops, the grid-pruned
+underflowing terms, 1 to 3 dimensions, asymmetric matrices, points on
+both sides of the float32 range) against the column loops, the grid-pruned
 interference measure against the full scan, the subset table against slot
 feasibility, the raw-SINR cross-check at the edge of small budgets, and CLI
 exit codes on fuzzed instance documents.
@@ -504,6 +504,27 @@ def _band_edge_pair(scale: float) -> tuple[Instance, float]:
 @example(_band_edge_pair(2.0**-600), kernel.BLOCK)
 @given(st.one_of(mirrored_links(), random_links(), asymmetric_links()), st.sampled_from((1, 8, kernel.BLOCK)))
 def test_filtered_decisions_are_the_column_loops(case, block):
+    _filtered_decisions_are_the_column_loops(*case, block)
+
+
+@st.composite
+def links_beyond_float32(draw) -> tuple[Instance, float]:
+    """``random_links`` and one more link 1e30 away, of length 1 to 2 (1e15
+    to 2e15 on a line, where 1e30 + 1 is 1e30): squared distances beyond the
+    float32 range, so the cheap terms take exact distances."""
+    inst, c = draw(random_links())
+    points, first = inst.metric.points, len(inst.metric.points)
+    far = np.zeros((2, points.shape[1]))
+    far[:, 0] = 1e30
+    far[1, -1] += draw(st.floats(1.0, 2.0)) * (1e15 if points.shape[1] == 1 else 1.0)
+    return Instance(EuclideanMetric(points=np.vstack([points, far])), [*inst.senders, first],
+                    [*inst.receivers, first + 1], inst.params), c
+
+
+@settings(FIXED, max_examples=60)
+@given(links_beyond_float32(), st.sampled_from((1, 8, kernel.BLOCK)))
+def test_decisions_beyond_the_float32_range_are_the_column_loops(case, block):
+    assert case[0].cheap_scale == 0.0
     _filtered_decisions_are_the_column_loops(*case, block)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from linsched import (
@@ -11,11 +12,13 @@ from linsched import (
     PhysicalParams,
     SchedulerConfig,
     greedy_schedule,
+    kernel,
     random_euclidean,
     schedule_feasible,
     validate_instance,
 )
 from linsched.gen import collocated, spread
+from linsched.model import MatrixMetric
 from linsched.scheduler import compute_c, compute_c0
 from conftest import make_random_instance
 from reference import (
@@ -208,3 +211,44 @@ def test_greedy_scale_invariance(params):
             params=base.params,
         )
         assert greedy_schedule(scaled, cfg) == expected
+
+
+@pytest.mark.parametrize("block", (2, 5, kernel.BLOCK))
+def test_greedy_on_degenerate_instances_is_the_column_loop(block, monkeypatch):
+    # Few distinct positions give zero-length links, senders on foreign
+    # receivers (+inf terms) and 0/0 cheap terms (NaN), on a line and in a
+    # matrix, and some lines hold a NaN point.  Loads then turn +inf or NaN
+    # inside a block, where first fit must still match the column loop.
+    monkeypatch.setattr(kernel, "BLOCK", block)
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        n = int(rng.integers(3, 16))
+        if trial % 2:
+            points = rng.integers(0, 4, (n + 2, 1)).astype(float)
+            if trial % 4 == 1:
+                points[rng.integers(0, n + 2)] = np.nan
+            metric = EuclideanMetric(points=points)
+        else:
+            d = rng.integers(0, 3, (n + 2, n + 2)).astype(float)
+            np.fill_diagonal(d, 0.0)
+            metric = MatrixMetric(d=d)
+        inst = Instance(metric, rng.integers(0, n + 2, n), rng.integers(0, n + 2, n),
+                        PhysicalParams(alpha=3.0, beta=2.0, m=1.0))
+        for c in (1.2, 4.0):
+            cfg = SchedulerConfig(c=c)
+            assert greedy_schedule(inst, cfg) == greedy_schedule_columns(inst, cfg)
+
+
+def test_cheap_loads_settle_every_admission_of_a_random_instance(monkeypatch):
+    # No load of this instance lies near enough to the cut to need exact
+    # terms, before its block or inside it, at c = 4 and at c = auto.
+    exact_rows = []
+    terms = kernel.terms
+    monkeypatch.setattr(kernel, "terms", lambda inst, S, L, X: exact_rows.append(len(X)) or terms(inst, S, L, X))
+    params = PhysicalParams(alpha=3.0, beta=2.0)
+    inst = random_euclidean(GenSpec(n=300, params=params, box=100.0 * math.sqrt(6.0), seed=1))
+    configs = (SchedulerConfig(c=4.0), SchedulerConfig.auto(params))
+    schedules = [greedy_schedule(inst, cfg) for cfg in configs]
+    assert exact_rows == []
+    monkeypatch.undo()
+    assert schedules == [greedy_schedule_columns(inst, cfg) for cfg in configs]

@@ -322,3 +322,21 @@ def test_worst_link_is_the_first_whose_margin_rounds_to_the_worst(e):
     res = slot_feasible([0, 1], inst)
     assert res.worst_link == 0 == ref.slot_feasible_columns([0, 1], inst)[1]
     assert repr(res.worst_margin) == repr(thr - loads[1])
+
+
+def test_a_load_from_a_float32_subnormal_squared_distance_settles_nothing():
+    # Link 1's sender sits 8.8e-20 from receiver 0, and link 3's 7.9e-17
+    # from receiver 2.  Scaled, the first squared distance is a float32
+    # subnormal of a few bits, and the cheap load on link 0 lies 4% above
+    # its exact load and above the cheap load on link 2, although link 2
+    # has the larger exact load.  Loads past 2^29 settle nothing, so both
+    # are taken exactly and link 2 is the worst.
+    d1, d3, r2 = 8.806458127359893e-20, 7.925759476315478e-17, 2.0**-20
+    points = [(-1.0, 0.0), (0.0, 0.0), (d1, 0.0), (d1 + 1.0, 0.0),
+              (-1.0, r2), (0.0, r2), (0.0, r2 + d3), (0.0, r2 + d3 + 900.0)]
+    inst = Instance(EuclideanMetric(points=points), [0, 2, 4, 6], [1, 3, 5, 7],
+                    PhysicalParams(alpha=1.5, beta=2.0**-120))
+    assert inst.cheap_scale
+    res = slot_feasible(range(4), inst)
+    assert (res.feasible, res.worst_link, res.worst_margin) == ref.slot_feasible_columns(range(4), inst)
+    assert res.worst_link == 2
