@@ -59,28 +59,43 @@ def metric_complete(specified: list[tuple[int, int, float]], n_nodes: int) -> np
     conflict, if any node is unreachable, or if the closure shortens a
     specified distance by more than 1e-9 relative (the construction would be
     inconsistent).
+
+    The pairs are checked at once, and the first offender in list order is
+    named: its first failing check among range, sign, diagonal and conflict
+    with the pair's previous specification.  A pair specified more than once
+    takes its last value, as a loop over the list would.
     """
+    m = len(specified)
+    p, q, value = (np.array(col) for col in zip(*specified)) if m else (np.zeros(0, int),) * 3
+    key = np.minimum(p, q) * n_nodes + np.maximum(p, q)
+    order = np.argsort(key, kind="stable")  # each pair's specifications in list order
+    repeat = key[order[1:]] == key[order[:-1]]
+    conflict = np.zeros(m, dtype=bool)
+    conflict[order[1:][repeat & (value[order[1:]] != value[order[:-1]])]] = True
+    bad = (p < 0) | (p >= n_nodes) | (q < 0) | (q >= n_nodes) | (value < 0)
+    bad |= ((p == q) & (value != 0.0)) | conflict
+    if bad.any():
+        j = int(np.argmax(bad))
+        pj, qj, vj = specified[j]
+        if not (0 <= pj < n_nodes and 0 <= qj < n_nodes):
+            raise ValueError(f"specified pair ({pj},{qj}) out of range for {n_nodes} nodes")
+        if vj < 0:
+            raise ValueError(f"specified distance d({pj},{qj}) = {vj!r} is negative")
+        if pj == qj:
+            raise ValueError(f"d({pj},{pj}) specified as {vj!r}, must be 0")
+        previous = order[np.flatnonzero(order == j)[0] - 1]  # the pair's previous specification
+        raise ValueError(
+            f"conflicting specifications for pair {(min(pj, qj), max(pj, qj))}: "
+            f"{specified[previous][2]!r} vs {vj!r}"
+        )
+    # the last specification of each pair off the diagonal, in order of first appearance
+    last = order[np.append(~repeat, True) & (p[order] != q[order])]
+    first = order[np.insert(~repeat, 0, True) & (p[order] != q[order])]
+    last = last[np.argsort(first)]
+    lo, hi = np.minimum(p[last], q[last]), np.maximum(p[last], q[last])
     d = np.full((n_nodes, n_nodes), np.inf)
     np.fill_diagonal(d, 0.0)
-    seen: dict[tuple[int, int], float] = {}
-    for p, q, value in specified:
-        if not (0 <= p < n_nodes and 0 <= q < n_nodes):
-            raise ValueError(f"specified pair ({p},{q}) out of range for {n_nodes} nodes")
-        if value < 0:
-            raise ValueError(f"specified distance d({p},{q}) = {value!r} is negative")
-        if p == q:
-            if value != 0.0:
-                raise ValueError(f"d({p},{p}) specified as {value!r}, must be 0")
-            continue
-        key = (min(p, q), max(p, q))
-        if key in seen and seen[key] != value:
-            raise ValueError(
-                f"conflicting specifications for pair {key}: "
-                f"{seen[key]!r} vs {value!r}"
-            )
-        seen[key] = value
-        d[p, q] = value
-        d[q, p] = value
+    d[lo, hi] = d[hi, lo] = value[last]
     # Floyd-Warshall; written out because zero-weight edges are legitimate
     # here and must behave as real edges.
     for k in range(n_nodes):
@@ -90,13 +105,20 @@ def metric_complete(specified: list[tuple[int, int, float]], n_nodes: int) -> np
         raise ValueError(
             f"nodes {p} and {q} are not connected by any specified distances"
         )
-    for (p, q), value in seen.items():
-        if not math.isclose(d[p, q], value, rel_tol=REL_TOL):
-            raise ValueError(
-                f"completion shortens specified d({p},{q}) from {value!r} "
-                f"to {float(d[p, q])!r}; the specified distances violate the "
-                "triangle inequality"
-            )
+    # math.isclose(a, b, rel_tol=REL_TOL) elementwise, for a closure with no inf
+    a, b = d[lo, hi], value[last].astype(float)
+    diff = np.abs(b - a)
+    close = (a == b) | (
+        ~np.isinf(b) & ((diff <= np.abs(REL_TOL * b)) | (diff <= np.abs(REL_TOL * a)))
+    )
+    if not close.all():
+        i = int(np.argmin(close))
+        pi, qi = int(lo[i]), int(hi[i])
+        raise ValueError(
+            f"completion shortens specified d({pi},{qi}) from {specified[last[i]][2]!r} "
+            f"to {float(d[pi, qi])!r}; the specified distances violate the "
+            "triangle inequality"
+        )
     return d
 
 

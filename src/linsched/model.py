@@ -279,6 +279,40 @@ def _summary(severity, code, offenders, describe, count=None) -> list[Diagnostic
     return [Diagnostic(severity, code, first[0])]
 
 
+def _triangle_offenders(d: np.ndarray, tol: float) -> tuple[int, list[tuple[int, int, int]]]:
+    """The number of triples with d(p,r) > d(p,q) + d(q,r) + tol, and the first three.
+
+    d is symmetric, so d(p,q) + d(q,r) is d(p,q) + d(r,q) bit for bit, and a
+    triple with r < p is one with r > p reversed: a first scan compares d(p,r)
+    for r > p with the row minima of d[p] + d[p+1:], contiguous rows of one
+    reused buffer.  Only when it finds a violation does a scan of every row
+    count the triples and name the first three in (p, q, r) order.  Rounded
+    x + tol is monotone in x, so a minimum decides for every q; q = p never
+    counts, as d(p,p) = 0.
+    """
+    n = len(d)
+    via = np.empty_like(d)
+    count, triples = 0, []
+    with np.errstate(over="ignore"):  # a sum beyond the float range is inf
+        for p in range(n - 1):
+            # rows[j, q] = d(p,q) + d(q,p+1+j)
+            rows = np.add(d[p], d[p + 1 :], out=via[: n - p - 1])
+            if (d[p, p + 1 :] > rows.min(axis=1) + tol).any():
+                break
+        else:
+            return count, triples
+        for p in range(n):
+            np.add(d[p][:, None], d, out=via)  # via[q, r] = d(p,q) + d(q,r)
+            if not (d[p] > via.min(axis=0) + tol).any():
+                continue
+            over = d[p] > via + tol
+            over[p] = False
+            count += int(np.count_nonzero(over))
+            if len(triples) < 3:  # _summary names the first three
+                triples += [(p, q, r) for q, r in np.argwhere(over)[:3]]
+    return count, triples
+
+
 def _check_matrix(metric: MatrixMetric, check_triangle: bool) -> list[Diagnostic]:
     d = metric.d
     n = len(d)
@@ -305,20 +339,7 @@ def _check_matrix(metric: MatrixMetric, check_triangle: bool) -> list[Diagnostic
     if check_triangle:
         # Tolerance is absolute after normalizing the largest distance to 1.
         tol = REL_TOL * max(float(np.abs(d).max(initial=0.0)), 1.0)
-        count, triples = 0, []
-        via = np.empty_like(d)
-        with np.errstate(over="ignore"):  # a sum beyond the float range is inf
-            for p in range(n):
-                np.add(d[p][:, None], d, out=via)  # via[q, r] = d(p,q) + d(q,r)
-                # Rounded x + tol is monotone in x, so d(p,r) > via[q, r] + tol for some q
-                # iff d(p,r) > min_q via[q, r] + tol; q = p never counts, as d(p,p) = 0.
-                if not (d[p] > via.min(axis=0) + tol).any():
-                    continue
-                over = d[p] > via + tol
-                over[p] = False
-                count += int(np.count_nonzero(over))
-                if len(triples) < 3:  # _summary names the first three
-                    triples += [(p, q, r) for q, r in np.argwhere(over)[:3]]
+        count, triples = _triangle_offenders(d, tol)
         out += _summary(
             "error", "triangle-violation", triples,
             lambda p, q, r: f"d({p},{r}) = {float(d[p, r])!r} exceeds "

@@ -3,13 +3,19 @@
 Ground truth for approximation-ratio experiments and for the two-slot
 decision that the adversarial reduction targets.  The subset feasibility
 table is materialized for all 2^n link subsets, from two half-tables of
-affectance loads.  Feasibility is downward closed, so a cover of the links
-by k feasible sets trims to a partition into k slots: the optimal length is
-the least k for which the full set is a union of k feasible sets.  Those
-unions are counted exactly with zeta and Moebius transforms over the subset
-lattice, O(n 2^n) per slot (Bjoerklund, Husfeldt and Koivisto, "Set
-Partitioning via Inclusion-Exclusion", SIAM J. Comput. 2009).  The schedule
-is then read back slot by slot, each slot holding the lowest link left.
+affectance loads, as prefix counts.  A mask passes iff every member's load
+fl(lo + hi), low half plus high half, is at most the cut: the test of its
+largest load, since a maximum is one of its operands.  Rounded addition is
+monotone, so for a fixed lo the passing hi of a member are a prefix of its
+sorted loads from that half, and the table compares each member's rank
+among them with the length of its prefix.  Feasibility is downward closed,
+so a cover of the links by k feasible sets trims to a partition into k
+slots: the optimal length is the least k for which the full set is a union
+of k feasible sets.  Those unions are counted exactly with zeta and
+Moebius transforms over the subset lattice, O(n 2^n) per slot (Bjoerklund,
+Husfeldt and Koivisto, "Set Partitioning via Inclusion-Exclusion", SIAM J.
+Comput. 2009).  The schedule is then read back slot by slot, each slot
+holding the lowest link left.
 """
 
 from __future__ import annotations
@@ -66,25 +72,72 @@ def _bit_matrix(k: int) -> np.ndarray:
     return ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.float64)
 
 
+def _ranked(load: np.ndarray, bits: np.ndarray, first: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Every link's loads from one half, sorted, and each mask's rank among them.
+
+    Returns s[v, k], the k-th smallest load on link v from a mask of the
+    half, and rank[v, x], the position of load[x, v] in s[v], or -1 where v
+    is one of the half's own links, numbered from ``first``, but not in mask
+    x.  Equal loads take their positions in any order: they pass or fail
+    together.
+    """
+    order = np.argsort(load.T, axis=1)
+    s = np.take_along_axis(load.T, order, axis=1)
+    rank = np.empty(order.shape, dtype=dtype)
+    np.put_along_axis(rank, order, np.arange(len(load), dtype=dtype)[None], axis=1)
+    rank[first : first + bits.shape[1]][bits.T == 0] = -1
+    return s, rank
+
+
+def _limits(
+    load: np.ndarray, bits: np.ndarray, first: int, s: np.ndarray, cut: float, dtype
+) -> np.ndarray:
+    """lim[v, y]: the last k with fl(load[y, v] + s[v, k]) <= cut, -1 if none.
+
+    The passing k are a prefix of s[v], found by one binary search for all
+    (v, y) at once, bit by bit from the top; s is padded with NaN, which
+    fails.  Where v is one of the half's own links, numbered from
+    ``first``, but not in mask y, lim is the last position: v's test does
+    not apply.
+    """
+    n, m = s.shape
+    steps = m.bit_length()
+    padded = np.full((n, 1 << steps), np.nan)
+    padded[:, :m] = s
+    row = (np.arange(n) << steps)[:, None]
+    other = load.T.copy()
+    count = np.zeros(other.shape, dtype=np.intp)
+    for k in reversed(range(steps)):
+        probe = count + (1 << k)
+        np.copyto(count, probe, where=other + padded.take(row + probe - 1) <= cut)
+    lim = (count - 1).astype(dtype)
+    lim[first : first + bits.shape[1]][bits.T == 0] = m - 1
+    return lim
+
+
 def subset_table(inst: Instance, cap: int = DEFAULT_CAP) -> SubsetTable:
     """Affectance-form feasibility for all subsets; empty subset is feasible.
 
     The links split into the w lowest bits and the rest, with 2^w * n about
-    ``kernel.BLOCK``.  Each half gets its load table once, a bit matrix times
-    the term matrix, with NaN as the load on the links outside the half's
-    mask, which ``np.fmax`` skips.  A group of high patterns then adds its
-    load rows to the whole low table, which gives every member's affectance
-    in 2^w consecutive masks per pattern, and keeps each mask's largest load.
-    A group holds ``BLOCK // (w * 2^(w-1))`` patterns (seven at n = 17 to 20,
-    three at 13 to 16), about a kernel block of member loads on the low
-    links, each of which is in half the low masks: a block of one pattern
-    costs as much in per-call overhead as in additions.
-    Rounded addition is monotone, so the table stays downward closed.
+    ``kernel.BLOCK``, and mask (h, i) is h * 2^w + i.  Each half gets its load
+    table once, a bit matrix times the term matrix: lo_v(i) and hi_v(h), the
+    loads on link v from low mask i and from high mask h.  The mask passes
+    iff every member v has fl(lo_v(i) + hi_v(h)) <= ``kernel.rel_leq_cut`` of
+    the threshold, the comparison greedy and ``slot_feasible`` make.
 
-    A mask passes when its largest load is at most ``kernel.rel_leq_cut``
-    of the threshold, the comparison greedy and ``slot_feasible`` make.
-    The test behind the cut is monotone in the load, so that is the verdict
-    of the test on every member.
+    That verdict is a prefix count.  The largest member load that
+    ``np.fmax`` would find is one of the loads, so the mask passes iff each
+    member's does; and rounded addition is monotone, so for a fixed load from
+    one half the loads from the other half that pass are a prefix of them in
+    sorted order.  The larger half's loads are therefore sorted once per
+    link, each mask taking its rank, and each load of the smaller half finds
+    the length of its passing prefix by binary search with the float test
+    itself.  A member passes iff its rank lies inside its prefix, and a
+    non-member always does: the table is n compares of int16 ranks per mask,
+    in blocks of rows of about a kernel block of float64s.  Ranks are int32
+    only for a half of more than 2^15 masks, which only another
+    ``kernel.BLOCK`` makes.  Rounded addition is monotone, so the table
+    stays downward closed.
     """
     n = inst.n
     _check_cap(n, cap)
@@ -94,15 +147,23 @@ def subset_table(inst: Instance, cap: int = DEFAULT_CAP) -> SubsetTable:
     t = _term_matrix(inst)
     w = min(n, max(1, (kernel.BLOCK // n).bit_length() - 1))
     lo_bits, hi_bits = _bit_matrix(w), _bit_matrix(n - w)
-    lo_load = _half_loads(lo_bits, t[:w]).T.copy()  # lo_load[v, i]: load on v from low mask i
-    lo_load[:w][lo_bits.T == 0] = np.nan
-    hi_load = _half_loads(hi_bits, t[w:])  # hi_load[h, v]: load on v from high mask h
-    hi_load[:, w:][hi_bits == 0] = np.nan
-    feasible = np.empty((len(hi_load), 1 << w), dtype=bool)
-    for hs in kernel.blocks(len(hi_load), w << (w - 1)):
-        top = np.fmax.reduce(lo_load + hi_load[hs, :, None], axis=1)
-        np.less_equal(top, cut, out=feasible[hs])
-    feasible[0, 0] = True  # the empty mask, whose loads are all NaN
+    lo = (_half_loads(lo_bits, t[:w]), lo_bits, 0)  # lo[0][i, v] = lo_v(i)
+    hi = (_half_loads(hi_bits, t[w:]), hi_bits, w)  # hi[0][h, v] = hi_v(h)
+    rank_hi = n - w >= w
+    big, small = (hi, lo) if rank_hi else (lo, hi)
+    dtype = np.int16 if len(big[0]) <= 1 << 15 else np.int32
+    s, rank = _ranked(*big, dtype)
+    lim = _limits(*small, s, cut, dtype)
+    # row[v, h] against col[v, i]: rank <= lim, or lim >= rank
+    row, col, passes = (rank, lim, np.less_equal) if rank_hi else (lim, rank, np.greater_equal)
+    feasible = np.empty((len(hi[0]), len(lo[0])), dtype=bool)
+    for hs in kernel.blocks(len(feasible), max(1, feasible.shape[1] >> 3)):
+        table = feasible[hs]
+        passes(row[0, hs, None], col[0], out=table)
+        verdict = np.empty_like(table)
+        for v in range(1, n):
+            passes(row[v, hs, None], col[v], out=verdict)
+            table &= verdict
     return SubsetTable(feasible=feasible.reshape(-1))
 
 

@@ -18,9 +18,12 @@ which ``slot_feasible`` must match with a bit-equal worst margin.
 submask dynamic program, over the package's own subset table, and
 ``zeta_reference`` its zeta and Moebius transforms one mask at a time.
 ``subset_table_elementwise`` is the subset table's former loop, which tests
-every member's load with ``rel_leq_array``; ``subset_table`` compares only
-the largest load of each mask with the cut and must give the same table bit
-for bit.
+every member's load with ``rel_leq_array``; ``subset_table`` compares each
+member's rank among its sorted half-loads with the length of its passing
+prefix and must give the same table bit for bit.
+``metric_complete_loop`` is ``hardness.metric_complete`` as it was, one
+specified pair at a time, which the array checks must match in matrix and
+message.
 ``validate_instance_reference`` is validation as it was when it returned one
 diagnostic per offender, and ``aggregate_per_code`` folds that list into
 the one diagnostic per code that ``validate_instance`` returns.
@@ -395,6 +398,46 @@ def subset_table_elementwise(inst: Instance, cap: int) -> np.ndarray:
         member = np.concatenate((lo_bits.T, np.repeat(hi_bits[h][:, None], 1 << w, axis=1))) > 0
         feasible[h] = (rel_leq_array(load, thr) | ~member).all(axis=0)
     return feasible.reshape(-1)
+
+
+def metric_complete_loop(specified: list[tuple[int, int, float]], n_nodes: int) -> np.ndarray:
+    """``hardness.metric_complete`` one pair at a time: same matrix, same errors."""
+    d = np.full((n_nodes, n_nodes), np.inf)
+    np.fill_diagonal(d, 0.0)
+    seen: dict[tuple[int, int], float] = {}
+    for p, q, value in specified:
+        if not (0 <= p < n_nodes and 0 <= q < n_nodes):
+            raise ValueError(f"specified pair ({p},{q}) out of range for {n_nodes} nodes")
+        if value < 0:
+            raise ValueError(f"specified distance d({p},{q}) = {value!r} is negative")
+        if p == q:
+            if value != 0.0:
+                raise ValueError(f"d({p},{p}) specified as {value!r}, must be 0")
+            continue
+        key = (min(p, q), max(p, q))
+        if key in seen and seen[key] != value:
+            raise ValueError(
+                f"conflicting specifications for pair {key}: "
+                f"{seen[key]!r} vs {value!r}"
+            )
+        seen[key] = value
+        d[p, q] = value
+        d[q, p] = value
+    for k in range(n_nodes):
+        np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
+    if np.isinf(d).any():
+        p, q = map(int, np.argwhere(np.isinf(d))[0])
+        raise ValueError(
+            f"nodes {p} and {q} are not connected by any specified distances"
+        )
+    for (p, q), value in seen.items():
+        if not math.isclose(d[p, q], value, rel_tol=REL_TOL):
+            raise ValueError(
+                f"completion shortens specified d({p},{q}) from {value!r} "
+                f"to {float(d[p, q])!r}; the specified distances violate the "
+                "triangle inequality"
+            )
+    return d
 
 
 def _check_matrix_reference(metric: MatrixMetric, check_triangle: bool) -> list[Diagnostic]:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+from unittest import mock
 
 import pytest
 
@@ -12,6 +14,7 @@ from linsched import (
     validate_instance,
     verify_reduction,
 )
+from linsched import hardness
 from linsched.hardness import metric_complete, pad_partition
 from linsched.model import MatrixMetric
 from linsched.oracle import partition_solve
@@ -192,6 +195,50 @@ def test_metric_complete_detects_conflict_and_disconnect():
         metric_complete([(0, 1, 1.0)], 3)
     with pytest.raises(ValueError, match="negative"):
         metric_complete([(0, 1, -1.0)], 2)
+
+
+def _completion(complete, specified, n_nodes):
+    try:
+        return "matrix", complete(specified, n_nodes).tobytes()
+    except ValueError as err:
+        return "error", str(err)
+
+
+def test_metric_complete_is_the_pair_loop_in_matrix_and_message():
+    # out-of-range ids, signs of zero, ints, NaN, +inf, repeats and conflicts:
+    # the array checks name the offender the loop raised at, with its message
+    rng = SplitMix64(7)
+    values = (0.0, -0.0, 0, 1, 1.0, 2.0, 0.5, 1.5, 3.0, 1.0 + 1e-10, -1.0, math.inf, math.nan)
+    kinds = ("out of range", "negative", "must be 0", "conflicting", "not connected", "shortens")
+    outcomes = set()
+    for _ in range(3000):
+        n = 1 + int(rng.random() * 5)
+        specified = []
+        for _ in range(int(rng.random() * 12)):
+            p, q = (int(rng.random() * (n + 2)) - 1 for _ in range(2))
+            if rng.random() < 0.9:  # mostly in range
+                p, q = p % n, q % n
+            specified.append((p, q, values[int(rng.random() * len(values))]))
+        expected = _completion(ref.metric_complete_loop, specified, n)
+        assert _completion(metric_complete, specified, n) == expected, specified
+        outcome, text = expected
+        outcomes |= {kind for kind in kinds if kind in text} if outcome == "error" else {"matrix"}
+    assert outcomes == {"matrix", *kinds}
+
+
+def test_metric_complete_of_a_30_value_reduction_is_the_pair_loop():
+    specified = []
+    real = hardness.metric_complete
+
+    def spy(pairs, n_nodes):
+        specified.append((pairs, n_nodes))
+        return real(pairs, n_nodes)
+
+    with mock.patch.object(hardness, "metric_complete", spy):
+        build_reduction(list(range(1, 31)), alpha=3.0, beta=2.0)
+    (pairs, n_nodes), = specified
+    expected = ref.metric_complete_loop(pairs, n_nodes)
+    assert metric_complete(pairs, n_nodes).tobytes() == expected.tobytes()
 
 
 def test_metric_complete_output_is_metric():

@@ -146,6 +146,51 @@ def test_subset_table_is_the_elementwise_loop(name, block):
     assert np.array_equal(table, expected)
 
 
+# The reference loops over the high patterns in Python, so these run at the
+# default block only.
+LARGE_CASES = {
+    # 20 links, whose balanced splits load an end link at the threshold itself
+    "reduction-3-1-1-2-2-1": build_reduction([3, 1, 1, 2, 2, 1], 3.0, 2.0).instance,
+    "euclid-box12-n20": make_random_instance(seed=20, n=20, box=12.0),
+    "collocated-17": collocated(17, PARAMS),  # +inf terms, every load equal
+    "pseudometric-18": line_pseudometric(2, n=18),  # integer distances: many tied loads
+}
+
+
+@pytest.mark.parametrize("name", list(LARGE_CASES))
+def test_subset_table_of_17_to_20_links_is_the_elementwise_loop(name):
+    inst = LARGE_CASES[name]
+    table = subset_table(inst, 20).feasible
+    assert table.dtype == bool
+    assert np.array_equal(table, subset_table_elementwise(inst, 20))
+
+
+@pytest.mark.parametrize("block, n, ranked_half", [
+    # a block of 1 leaves one link in the low half, so the ranked high half
+    # holds 2^15 masks: ranks fill int16 from -1 to 2^15 - 1
+    (1, 16, (1 << 15, np.int16)),
+    # a large block ranks the low half, here at 2^15 and at 2^16 masks
+    (1 << 19, 16, (1 << 15, np.int16)),
+    (1 << 21, 17, (1 << 16, np.int32)),
+], ids=["high-2^15", "low-2^15", "low-2^16"])
+def test_ranks_at_the_edge_of_their_type_are_the_elementwise_loop(
+    monkeypatch, block, n, ranked_half
+):
+    ranked = []
+    real = oracle._ranked
+
+    def spy(load, bits, first, dtype):
+        ranked.append((len(load), dtype))
+        return real(load, bits, first, dtype)
+
+    monkeypatch.setattr(oracle, "_ranked", spy)
+    monkeypatch.setattr(kernel, "BLOCK", block)
+    inst = make_random_instance(seed=n, n=n, box=12.0)
+    table = subset_table(inst, 20).feasible
+    assert ranked == [ranked_half]
+    assert np.array_equal(table, subset_table_elementwise(inst, 20))
+
+
 @pytest.mark.parametrize("op, scalar_op", [(np.add, operator.add), (np.subtract, operator.sub)])
 def test_zeta_is_the_mask_loop(op, scalar_op):
     rng = np.random.default_rng(0)
