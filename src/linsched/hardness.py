@@ -97,9 +97,11 @@ def metric_complete(specified: list[tuple[int, int, float]], n_nodes: int) -> np
     np.fill_diagonal(d, 0.0)
     d[lo, hi] = d[hi, lo] = value[last]
     # Floyd-Warshall; written out because zero-weight edges are legitimate
-    # here and must behave as real edges.
+    # here and must behave as real edges.  One buffer takes each pass's sums.
+    via = np.empty_like(d)
     for k in range(n_nodes):
-        np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
+        np.add(d[:, k : k + 1], d[k : k + 1, :], out=via)
+        np.minimum(d, via, out=d)
     if np.isinf(d).any():
         p, q = map(int, np.argwhere(np.isinf(d))[0])
         raise ValueError(

@@ -31,7 +31,8 @@ the float32 range take the exact distances and a float64 ``np.power``
 instead.  ``cheap_bound`` and ``cheap_error`` bound how far a load summed
 from cheap terms can lie from the exact one.  A caller decides every test
 the bound settles on the cheap load and takes ``terms`` only for the rest,
-so that each output is still the exact kernel's.
+so that each output is still the exact kernel's; the interference measure
+bounds its near field with ``cheap_bound`` per term.
 
 ``rel_leq_cut`` is the package's one 1e-9 band-edge rule: greedy, slot
 feasibility and the exact oracle compare their loads with it.
@@ -187,12 +188,14 @@ def cheap_weights(inst: Instance, L: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def cheap_distances(inst: Instance, S: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Block D[j, i] for the ``cheap_coords`` S of senders and X of points.
 
-    Where ``inst.cheap_scale`` is nonzero, D is the squared distance of the
-    scaled points, summed over the axes in float64; otherwise it is the
-    exact kernel's ``dist``.
+    S[..., i] are senders that every point shares.  For a Euclidean metric,
+    S[..., j, i] may instead give point j senders of its own.  Where
+    ``inst.cheap_scale`` is nonzero, D is the squared distance of the scaled
+    points, summed over the axes in float64; otherwise it is the exact
+    kernel's ``dist``.
     """
     if not inst.cheap_scale:
-        return dist(inst, S.T, X.T)
+        return dist(inst, np.moveaxis(S, 0, -1), X.T)
     D = S[0] - X[0][:, None]
     D *= D
     for k in range(1, len(S)):

@@ -105,8 +105,13 @@ def greedy_schedule(inst: Instance, cfg: SchedulerConfig) -> Schedule:
     block of ``kernel.cheap_power`` terms over the buffer gives every placed
     link and every link of the block on the block's receivers, a row per
     receiver, with the placed links in slot order: one ``np.add.reduceat``
-    sums each slot's load in float64.  Inside the block, each placement adds
-    its terms to its slot's loads on the later receivers.
+    sums each slot's load in float64.  These loads and the block's own terms
+    are taken once as Python floats, and the block's links are placed on
+    them: each link first adds the terms of the block's earlier links to
+    their slots' loads, in placement order.  The buffer is not read again
+    in the block, so its moves are composed per placement into a map from
+    column to source and applied after the block, one gather per row, which
+    leaves the buffer as the moves one by one would.
     ``kernel.cheap_cuts`` turns the cut into two cheap ones for loads of at
     most n terms.  A link skips the slots whose cheap load is above
     ``above``, whose exact loads are surely past the cut, and joins the first
@@ -129,7 +134,7 @@ def greedy_schedule(inst: Instance, cfg: SchedulerConfig) -> Schedule:
     CS, CX = kernel.cheap_coords(inst, senders), kernel.cheap_coords(inst, receivers)
     W = kernel.cheap_weights(inst, L)[0]
     links = order.tolist()
-    slot_of = np.empty(n, dtype=np.intp)  # the slot of the link at each position
+    slot_of: list[int] = []  # the slot of the link at each position placed so far
     # The cheap coordinates and weights of the links placed so far, grouped
     # by slot: slot k holds columns edge[k] : edge[k + 1] of G and GW.  At
     # most n links go left or right of the middle, and a block of at most n
@@ -137,8 +142,8 @@ def greedy_schedule(inst: Instance, cfg: SchedulerConfig) -> Schedule:
     G = np.empty(CS.shape[:-1] + (3 * n,), CS.dtype)
     GW = np.empty(3 * n, W.dtype)
     edge = [n]
-    # one row per axis (or of node ids) and the weights, to move a column by
-    grouped, placed = [*G.reshape(-1, 3 * n), GW], [*CS.reshape(-1, n), W]
+    # one row per axis (or of node ids) and the weights, to move columns by
+    grouped = [*G.reshape(-1, 3 * n), GW]
     slots: list[list[int]] = []
     for span in kernel.blocks(n, n):
         a, b = span.start, span.stop
@@ -150,43 +155,49 @@ def greedy_schedule(inst: Instance, cfg: SchedulerConfig) -> Schedule:
         columns = slice(lo, hi + b - a)
         D = kernel.cheap_distances(inst, G[..., columns], CX[..., span])
         T = kernel.cheap_power(inst, D, GW[columns])
-        loads = np.zeros((b - a, len(slots) + b - a))  # room for every slot this block can open
+        loads = np.zeros((b - a, len(slots) + 1))
         if a:
             np.add.reduceat(T[:, :a], np.subtract(edge[:-1], lo), axis=1, dtype=np.float64,
                             out=loads[:, : len(slots)])
-        block = T[:, a:].astype(np.float64)
+        rows, own = loads.tolist(), T[:, a:].tolist()
+        origin: dict[int, int] = {}  # column -> the column whose block-start content it now holds
         for c, v in enumerate(links[span]):
-            j = a + c
+            j, row = a + c, rows[c]
+            row += [0.0] * (len(slots) + 1 - len(row))  # the slots opened in this block so far
+            for k, t in zip(slot_of[a:], own[c]):  # the block's earlier links, in placement order
+                row[k] += t
             # The next new slot, at load 0.0, is never past the cut.
-            k = int((loads[c, : len(slots) + 1] > above).argmin())
-            if not loads[c, k] <= below:
+            k = 0
+            while row[k] > above:
+                k += 1
+            if not row[k] <= below:
                 exact = kernel.terms(inst, S[:j], L[:j], X[j : j + 1])[0]
-                row = np.bincount(slot_of[:j], exact, minlength=len(slots) + 1)
-                k = int((row <= cut).argmax())
+                exact_loads = np.bincount(slot_of, exact, minlength=len(slots) + 1)
+                k = int((exact_loads <= cut).argmax())
             if k == len(slots):
                 slots.append([])
                 edge.append(edge[-1])
             slots[k].append(v)
-            slot_of[j] = k
-            if j + 1 < b:
-                loads[c + 1 :, k] += block[c + 1 :, c]
+            slot_of.append(k)
             # Slot k's run grows by a column: each run left of it hands its
             # last column on to one before its start, or each run right of it
             # its first column on to one past its end, whichever side has
-            # fewer runs.  Link j takes the column so freed.
+            # fewer runs.  Link j takes the column so freed.  The moves are
+            # composed in ``origin`` and applied once after the block.
             if k <= len(slots) - 1 - k:
                 for i in range(k + 1):
                     edge[i] -= 1
-                moves = [(edge[i + 1], edge[i]) for i in range(k)]
-                free = edge[k]
+                for i in range(k):
+                    origin[edge[i]] = origin.get(edge[i + 1], edge[i + 1])
+                origin[edge[k]] = hi + c
             else:
                 for i in range(k + 1, len(slots) + 1):
                     edge[i] += 1
-                moves = [(edge[i] - 1, edge[i + 1] - 1) for i in range(len(slots) - 1, k, -1)]
-                free = edge[k + 1] - 1
-            for src, dst in moves:
-                for axis in grouped:
-                    axis[dst] = axis[src]
-            for axis, values in zip(grouped, placed):
-                axis[free] = values[j]
+                for i in range(len(slots) - 1, k, -1):
+                    origin[edge[i + 1] - 1] = origin.get(edge[i] - 1, edge[i] - 1)
+                origin[edge[k + 1] - 1] = hi + c
+        dst = np.fromiter(origin, np.intp, len(origin))
+        src = np.fromiter(origin.values(), np.intp, len(origin))
+        for axis in grouped:
+            axis[dst] = axis[src]
     return Schedule(slots=tuple(frozenset(slot) for slot in slots))

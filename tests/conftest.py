@@ -39,9 +39,9 @@ def affectance_on(inst: Instance, v: int, members) -> float:
 
 
 def full_scan_measure(members, inst: Instance) -> tuple[float, int]:
-    """``interference_measure`` with every node's upper bound at +inf: the full scan."""
-    unbounded = lambda inst, W, nodes: np.full(len(nodes), np.inf)  # noqa: E731
-    with mock.patch.object(bounds, "_upper_bounds", unbounded):
+    """``interference_measure`` with every node's bounds at -inf and +inf: the full scan."""
+    unbounded = lambda inst, W, nodes: (np.full(len(nodes), -np.inf), np.full(len(nodes), np.inf))  # noqa: E731
+    with mock.patch.object(bounds, "_node_bounds", unbounded):
         return bounds.interference_measure(members, inst)
 
 

@@ -226,8 +226,24 @@ def beyond_the_near_block() -> Instance:
     return _pairs([[248.0, 0.0], [250.0, 0.0], [290.0, 0.0], [292.0, 0.0]])
 
 
+def exact_cheap_terms() -> Instance:
+    # one link 2^-40 as long as the longest: too short for the float32 cheap
+    # pass, so the cheap terms take exact distances (``cheap_scale`` 0.0)
+    points = _random_points(40, 300.0, seed=8)
+    return _pairs(np.concatenate((points, points[:1], points[:1] + (2.0**-40, 0.0))))
+
+
+def zero_length() -> Instance:
+    # link 0 sends and receives at node 0: a 0/0 cheap term (NaN) at node 0,
+    # whose bounds give up, and an exact term of +inf there, capped to 1
+    points = np.concatenate(([[0.0, 0.0]], _random_points(30, 300.0, seed=9)))
+    return _links(points, np.arange(-1, 60, 2).clip(0), np.arange(0, 61, 2))
+
+
 CASES = {
     "beyond-near-block": (beyond_the_near_block, None),
+    "exact-cheap-terms": (exact_cheap_terms, None),
+    "zero-length": (zero_length, None),
     "clustered": (clustered, None),
     "line-2d": (lambda: line_of_links(2), None),
     "line-1d": (lambda: line_of_links(1), None),
@@ -258,12 +274,34 @@ def test_upper_bounds_cover_every_node(case, monkeypatch):
     inst = make()
     W = np.arange(inst.n) if members is None else np.array(members)
     nodes = inst.used_nodes()
-    exact = np.minimum(link_terms(inst, W, nodes), 1.0).sum(axis=1)
+    exact = kernel.ascending_sums(np.minimum(link_terms(inst, W, nodes), 1.0))
     monkeypatch.setattr(kernel, "BLOCK", 1)  # so that one exact block never holds every node
-    upper = bounds._upper_bounds(inst, W, nodes)
-    assert (exact <= upper).all()
+    lower, upper = bounds._node_bounds(inst, W, nodes)
+    assert (lower <= exact).all() and (exact <= upper).all()
     # only the matrix metric and the huge span leave the grid
     assert np.isinf(upper).all() == (case in ("matrix", "huge-span"))
+    assert np.isinf(lower).all() == (case in ("matrix", "huge-span"))
+    if case == "exact-cheap-terms":
+        assert inst.cheap_scale == 0.0
+    if case == "zero-length":  # the NaN cheap term gives node 0 no bound
+        assert (lower[0], upper[0]) == (0.0, np.inf) and np.isfinite(upper[1:]).all()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_exact_pass_sums_no_node_below_the_largest_lower_bound(case, monkeypatch):
+    make, members = CASES[case]
+    inst = make()
+    W = np.arange(inst.n) if members is None else np.array(members)
+    nodes = inst.used_nodes()
+    monkeypatch.setattr(kernel, "BLOCK", 1)
+    lower, upper = bounds._node_bounds(inst, W, nodes)
+    expected = full_scan_measure(W, inst)
+    summed = []  # the evaluation points of every exact block
+    terms = kernel.terms
+    monkeypatch.setattr(kernel, "terms", lambda inst, S, L, X: summed.extend(X.tolist()) or terms(inst, S, L, X))
+    assert interference_measure(W, inst) == expected
+    kept = inst.metric.points[nodes[upper >= lower.max()]].tolist() if case != "matrix" else nodes.tolist()
+    assert summed and all(x in kept for x in summed)
 
 
 def test_no_bounds_when_one_exact_block_holds_every_node(monkeypatch):
@@ -272,7 +310,7 @@ def test_no_bounds_when_one_exact_block_holds_every_node(monkeypatch):
     assert len(nodes) * len(W) == 5000
     for block, bounded in ((kernel.BLOCK, False), (5000, False), (4999, True)):
         monkeypatch.setattr(kernel, "BLOCK", block)
-        assert np.isfinite(bounds._upper_bounds(inst, W, nodes)).all() == bounded
+        assert np.isfinite(bounds._node_bounds(inst, W, nodes)[1]).all() == bounded
 
 
 def test_one_dense_cluster_takes_the_full_scan(monkeypatch):
@@ -280,7 +318,7 @@ def test_one_dense_cluster_takes_the_full_scan(monkeypatch):
     inst = random_euclidean(GenSpec(n=300, params=PARAMS, box=4.0, seed=1))
     W, nodes = np.arange(inst.n), inst.used_nodes()
     monkeypatch.setattr(kernel, "BLOCK", 1)
-    assert np.isinf(bounds._upper_bounds(inst, W, nodes)).all()
+    assert np.isinf(bounds._node_bounds(inst, W, nodes)[1]).all()
     assert interference_measure(W, inst) == full_scan_measure(W, inst)
 
 
@@ -291,7 +329,7 @@ def test_bounds_while_the_near_field_is_at_most_half_of_all_pairs(monkeypatch):
     for extra, bounded in ((0, True), (1, False)):  # half of all pairs, then just over
         inst = _pairs(np.concatenate((cluster, cluster[: 2 * extra] + 0.5, cluster + 500.0)))
         W, nodes = np.arange(inst.n), inst.used_nodes()
-        assert np.isfinite(bounds._upper_bounds(inst, W, nodes)).all() == bounded
+        assert np.isfinite(bounds._node_bounds(inst, W, nodes)[1]).all() == bounded
         assert interference_measure(W, inst) == full_scan_measure(W, inst)
 
 

@@ -675,11 +675,11 @@ def test_scaling_by_a_power_of_two_changes_nothing(inst, scale):
         inst.params,
     )
     W, nodes = np.arange(inst.n), inst.used_nodes()
-    # the grid scales with the lengths, so every node's bound is the same
-    # (one-element blocks, so that the bounds are computed at all)
+    # the grid and the cheap terms scale with the lengths, so every node's
+    # bounds are the same (one-element blocks, so that they are computed at all)
     with mock.patch.object(kernel, "BLOCK", 1):
         assert np.array_equal(
-            bounds._upper_bounds(scaled, W, nodes), bounds._upper_bounds(inst, W, nodes)
+            bounds._node_bounds(scaled, W, nodes), bounds._node_bounds(inst, W, nodes)
         )
     assert interference_measure(W, scaled) == interference_measure(W, inst)
     cfg = SchedulerConfig.auto(inst.params)

@@ -128,11 +128,32 @@ def test_incremental_matches_naive_reference(params):
 
 @pytest.mark.parametrize("n", [129, 300, 1000])
 @pytest.mark.parametrize("c", ["4", "auto"])
-def test_blocked_greedy_matches_one_column_per_link(params, n, c):
-    # 127, 54 and 16 links per block: the last block is short at each size
+def test_blocked_greedy_matches_one_column_per_link(params, n, c, monkeypatch):
+    # 127, 54 and 16 links per block: the last block is short at each size;
+    # then blocks of 1, 8 and 64 links
     inst = random_euclidean(GenSpec(n=n, params=params, box=100.0 * math.sqrt(n / 50), seed=1))
     cfg = SchedulerConfig.auto(params) if c == "auto" else SchedulerConfig(c=float(c))
-    assert greedy_schedule(inst, cfg) == greedy_schedule_columns(inst, cfg)
+    expected = greedy_schedule_columns(inst, cfg)
+    assert greedy_schedule(inst, cfg) == expected
+    for width in (1, 8, 64):
+        monkeypatch.setattr(kernel, "BLOCK", width * n)
+        assert greedy_schedule(inst, cfg) == expected
+
+
+@pytest.mark.parametrize("width", (1, 8, 64, None))
+def test_blocked_greedy_on_many_slots_matches_one_column_per_link(params, width, monkeypatch):
+    # A dense instance at c = auto: 69 slots, so placements grow runs on
+    # both sides of the middle of the buffer.  In blocks of 8 links or more,
+    # several land in one block, and a block's moves pass columns through
+    # runs that moved before in it.
+    n = 300
+    inst = random_euclidean(GenSpec(n=n, params=params, box=60.0, seed=2))
+    cfg = SchedulerConfig.auto(params)
+    expected = greedy_schedule_columns(inst, cfg)
+    assert expected.length >= 10
+    if width is not None:  # None: the default, 54 links per block
+        monkeypatch.setattr(kernel, "BLOCK", width * n)
+    assert greedy_schedule(inst, cfg) == expected
 
 
 def test_greedy_is_deterministic(params):
@@ -213,7 +234,7 @@ def test_greedy_scale_invariance(params):
         assert greedy_schedule(scaled, cfg) == expected
 
 
-@pytest.mark.parametrize("block", (2, 5, kernel.BLOCK))
+@pytest.mark.parametrize("block", (1, 2, 5, 8, 64, kernel.BLOCK))
 def test_greedy_on_degenerate_instances_is_the_column_loop(block, monkeypatch):
     # Few distinct positions give zero-length links, senders on foreign
     # receivers (+inf terms) and 0/0 cheap terms (NaN), on a line and in a
