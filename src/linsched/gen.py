@@ -56,6 +56,8 @@ class GenSpec:
             raise ValueError("n must be >= 0")
         if not all(math.isfinite(x) for x in (self.box, self.lmin, self.lmax)):
             raise ValueError("box, lmin and lmax must be finite")
+        if not self.box > 0:
+            raise ValueError("box must be > 0")
         if not self.lmin > 0:
             raise ValueError("lmin must be > 0")
         if self.lmax < self.lmin:

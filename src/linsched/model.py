@@ -430,7 +430,9 @@ def check_partition(sched: Schedule, inst: Instance) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # JSON round trip.  Numbers rely on Python's shortest round-trip float repr,
-# so load(save(x)) reproduces every finite value bit-exactly.
+# so load(save(x)) reproduces every finite value bit-exactly.  A matrix file
+# costs its distinct numbers in both directions: the writer formats each
+# once, and the loader parses each distinct literal once.
 
 
 _KINDS = {dict: "a JSON object", list: "a JSON array", int: "an integer", float: "a number"}
@@ -504,10 +506,32 @@ def _number_rows(rows: list, name: str, width: int | None, expected: str) -> np.
     raise InternalError(f"{name}: the array check rejected what the row walk accepts")
 
 
+class _FloatCache(dict):
+    """The float of each number literal looked up, parsed once by ``float``."""
+
+    def __missing__(self, literal: str) -> float:
+        value = self[literal] = float(literal)
+        return value
+
+
 def _document(text: str, where: str, allowed: set[str]) -> dict:
-    """The JSON object in ``text``, of this schema and with ``allowed`` fields only."""
+    """The JSON object in ``text``, of this schema and with ``allowed`` fields only.
+
+    A symmetric distance matrix repeats nearly every number, so a document
+    whose text names a matrix metric reads its floats through a cache that
+    ends with the call; others keep json's own float parse, which a cache
+    would only slow.  Both call ``float`` on the same literal strings.  The
+    search for the name runs from the end, where the writer puts it.
+    """
+    parse_float = _FloatCache().__getitem__ if text.rfind('"matrix"') >= 0 else None
     try:
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text, parse_float=parse_float)
+        except RecursionError:
+            if parse_float is None:
+                raise
+            # The cache's calls take recursion depth that float does not.
+            doc = json.loads(text)
     # ValueError also covers an integer literal beyond Python's digit limit;
     # RecursionError, arrays or objects nested beyond the recursion limit.
     except (ValueError, RecursionError) as exc:
@@ -702,11 +726,16 @@ def load_schedule(text: str) -> Schedule:
     doc = _document(text, where, {"schema", "slots"})
     slots = []
     slots_raw = _field(doc, "slots", where, list, "slots")
-    for i, slot_raw in enumerate(slots_raw):
-        slot_raw = _checked(slot_raw, list, f"slots[{i}]")
-        slot = frozenset(_checked(x, int, f"slots[{i}]") for x in slot_raw)
-        if len(slot) != len(slot_raw):
-            repeated = next(x for k, x in enumerate(slot_raw) if x in slot_raw[:k])
+    for i, ids in enumerate(slots_raw):
+        # Each slot is checked as a whole; only a rejected one is walked id
+        # by id, to name its first offender.
+        if type(ids) is not list or not set(map(type, ids)) <= {int}:  # bool is not int
+            for x in _checked(ids, list, f"slots[{i}]"):
+                _checked(x, int, f"slots[{i}]")
+            raise InternalError("slots: the slot check rejected what the id walk accepts")
+        slot = frozenset(ids)
+        if len(slot) != len(ids):
+            repeated = next(x for k, x in enumerate(ids) if x in ids[:k])
             raise FormatError(f"slots[{i}] repeats link id {repeated}")
         slots.append(slot)
     return Schedule(slots=tuple(slots))

@@ -32,6 +32,8 @@ writers as they were, ``json.dumps`` of plain lists, which the package's own
 encoder must match byte for byte.  ``number_rows_reference`` is the loader's
 former per-number check of a metric array; patched in for
 ``model._number_rows``, it makes ``load_instance`` the reference loader.
+``load_schedule_reference`` is the schedule loader's former loop, which
+checks every link id on its own.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from linsched.model import (
     MatrixMetric,
     Schedule,
     _checked,
+    _document,
+    _field,
 )
 from linsched.oracle import _bit_matrix, _check_cap, _term_matrix, subset_table
 from linsched.scheduler import _processing_order
@@ -645,3 +649,17 @@ def number_rows_reference(rows: list, name: str, width: int | None, expected: st
             raise FormatError(f"{where} has {len(row)} {expected.format(width)}")
         out.append([_checked(x, float, where) for x in row])
     return out
+
+
+def load_schedule_reference(text: str) -> Schedule:
+    where = "schedule document"
+    doc = _document(text, where, {"schema", "slots"})
+    slots = []
+    for i, slot_raw in enumerate(_field(doc, "slots", where, list, "slots")):
+        slot_raw = _checked(slot_raw, list, f"slots[{i}]")
+        slot = frozenset(_checked(x, int, f"slots[{i}]") for x in slot_raw)
+        if len(slot) != len(slot_raw):
+            repeated = next(x for k, x in enumerate(slot_raw) if x in slot_raw[:k])
+            raise FormatError(f"slots[{i}] repeats link id {repeated}")
+        slots.append(slot)
+    return Schedule(slots=tuple(slots))

@@ -555,6 +555,16 @@ def test_gen_refuses_zero_length_links(tmp_path, capsys, family_args, zero_links
     assert not out.exists()
 
 
+@pytest.mark.parametrize("box", ["-1", "0", "-0.0"])
+def test_gen_names_a_box_that_is_not_positive(tmp_path, capsys, box):
+    out = tmp_path / "inst.json"
+    argv = ["gen", "--family", "random-euclidean", "--n", "5", "--alpha", "3", "--beta", "2",
+            "--box", box, "--out", str(out)]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err == "error: box must be > 0\n"
+    assert not out.exists()
+
+
 def _triangle_violating_matrix(n_nodes: int) -> Instance:
     rng = np.random.default_rng(0)
     d = rng.uniform(1, 10, size=(n_nodes, n_nodes))

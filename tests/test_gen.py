@@ -76,6 +76,8 @@ def test_genspec_rejects_bad_ranges(params):
         GenSpec(n=5, params=params, box=1.0, lmin=1.0, lmax=2.0)
     with pytest.raises(ValueError):
         GenSpec(n=-1, params=params)
+    with pytest.raises(ValueError, match="^box must be > 0$"):
+        GenSpec(n=5, params=params, box=-1.0)
     for field in ("box", "lmin", "lmax"):
         with pytest.raises(ValueError, match="finite"):
             GenSpec(n=5, params=params, **{field: float("nan")})

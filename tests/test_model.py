@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -595,6 +596,47 @@ def test_loader_nesting_beyond_the_recursion_limit_is_a_format_error():
             where = "instance document" if loader is load_instance else "schedule document"
             with pytest.raises(FormatError, match=f"^invalid JSON in {where}: maximum recursion"):
                 loader(text)
+
+
+# A document whose text names a matrix metric reads its floats through a
+# per-call cache; the property tests compare it with the plain parse.
+
+
+@pytest.mark.parametrize("path", [("matrix",), ("metric", "matrix")])
+def test_a_euclidean_document_naming_matrix_is_rejected_as_before(path):
+    where = "metric" if len(path) == 2 else "instance document"
+    text = json.dumps(_changed(_INSTANCE, path, 1.5))
+    assert '"matrix"' in text
+    with pytest.raises(FormatError) as exc:
+        load_instance(text)
+    assert str(exc.value) == f"unknown field 'matrix' in {where}"
+
+
+def test_a_matrix_type_spelled_with_an_escape_loads_the_same_instance():
+    text = json.dumps(_changed(_MATRIX, ("metric", "d"), [[0.0, 1.5], [1.5, -0.0]]))
+    escaped = text.replace('"matrix"', '"\\u006datrix"')
+    assert '"matrix"' not in escaped
+    plain, cached = load_instance(escaped), load_instance(text)
+    assert plain == cached
+    assert plain.metric.d.view("int64").tolist() == cached.metric.d.view("int64").tolist()
+
+
+def test_matrix_documents_nested_to_the_recursion_limit_load_as_plain_ones():
+    # The cached parse calls a Python method per number, which takes
+    # recursion depth that json's own float parse does not; the plain parse
+    # of the same text must decide at every depth.
+    verdicts = set()
+    for depth in range(1, sys.getrecursionlimit() + 10):
+        nested = "[" * depth + "1.5" + "]" * depth
+        messages = []
+        for name in ('"matrix"', '"\\u006datrix"'):
+            text = '{"schema": "sinr-linsched/1", "metric": {"type": %s, "d": %s}}' % (name, nested)
+            with pytest.raises(FormatError) as exc:
+                load_instance(text)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1], depth
+        verdicts.add(messages[0].startswith("invalid JSON"))
+    assert verdicts == {False, True}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

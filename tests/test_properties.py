@@ -1,5 +1,7 @@
 """Property tests: bit-exact JSON round trips, the JSON writer byte for
 byte against ``json.dumps``, the array loader against its per-number check,
+the cached float parse of matrix documents against the plain parse, the
+schedule loader against its per-id check,
 validation against its per-offender reference (also with triangle
 violations at the edge of the tolerance), invariance under relabelling
 links (verdicts, and the greedy schedule on tie-free lengths) and under
@@ -42,6 +44,7 @@ from linsched import (
     greedy_schedule,
     kernel,
     load_instance,
+    load_schedule,
     optimal_schedule,
     save_instance,
     save_schedule,
@@ -65,6 +68,7 @@ from conftest import (
 from reference import (
     aggregate_per_code,
     greedy_schedule_columns,
+    load_schedule_reference,
     number_rows_reference,
     rel_leq_array,
     save_instance_reference,
@@ -233,6 +237,98 @@ def test_loader_reads_number_arrays_as_the_reference_does(text):
                 for x in (expected, got))
     assert old.shape == new.shape
     assert np.array_equal(_bits(old), _bits(new))
+
+
+# Literals of a distance matrix file: both zeros, integers, exponent forms,
+# and numbers that json reads but the loader refuses.
+MATRIX_LITERALS = (
+    "0.0", "-0.0", "0", "-0", "3", "-2", "1E5", "2.5e-7", "1e400", "-1e400", "NaN", "Infinity",
+    "-Infinity", "0.1", "1.5", "5e-324", "1.7976931348623157e+308",
+)
+
+
+@st.composite
+def matrix_documents(draw) -> str:
+    """The text of a matrix instance document: a symmetric matrix whose
+    entries repeat a few literals (so the parse cache has hits), at times
+    with one entry changed on one side only."""
+    n_nodes = draw(st.integers(0, 6))
+    pool = draw(st.lists(st.sampled_from(MATRIX_LITERALS) | finite.map(repr), min_size=1, max_size=4))
+    literal = st.sampled_from(pool) | st.sampled_from(MATRIX_LITERALS)
+    diagonal = draw(st.sampled_from(("0.0", "-0.0", "0")))
+    rows = [[diagonal] * n_nodes for _ in range(n_nodes)]
+    for p in range(n_nodes):
+        for q in range(p + 1, n_nodes):
+            rows[p][q] = rows[q][p] = draw(literal)
+    if n_nodes and draw(st.booleans()):
+        rows[draw(st.integers(0, n_nodes - 1))][draw(st.integers(0, n_nodes - 1))] = draw(literal)
+    d = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+    node = st.integers(0, max(n_nodes - 1, 0))
+    links = [{"id": i, "sender": draw(node), "receiver": draw(node)}
+             for i in range(draw(st.integers(0, 3)))]
+    doc = {"schema": "sinr-linsched/1", "params": _PARAMS, "metric": {"type": "matrix", "d": "@D@"},
+           "links": links}
+    return json.dumps(doc).replace('"@D@"', d)
+
+
+def _load_with(text: str, loads):
+    """``load_instance(text)`` with ``loads`` as the model's ``json.loads``:
+    the instance, or the FormatError text."""
+    with mock.patch.object(model, "json", mock.Mock(loads=loads)):
+        try:
+            return load_instance(text)
+        except FormatError as exc:
+            return str(exc)
+
+
+@settings(FIXED, max_examples=200)
+@given(matrix_documents())
+def test_cached_float_parse_of_a_matrix_document_is_the_plain_parse(text):
+    float_parsers = []
+
+    def recording_loads(text, parse_float=None):
+        float_parsers.append(parse_float)
+        return json.loads(text, parse_float=parse_float)
+
+    got = _load_with(text, recording_loads)
+    assert len(float_parsers) == 1 and float_parsers[0] is not None  # the cached parse ran
+    expected = _load_with(text, lambda text, parse_float=None: json.loads(text))
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert isinstance(got, Instance) and got == expected
+    assert got.metric.d.shape == expected.metric.d.shape
+    assert np.array_equal(got.metric.d.view(np.int64), expected.metric.d.view(np.int64))
+
+
+# Slot entries that are not link ids, and integers beyond any link range,
+# which the loader itself accepts.
+BAD_IDS = (True, False, 0.0, 1.5, None, "0", [0], {"id": 0}, 2**70, -1)
+
+
+@st.composite
+def schedule_documents(draw) -> str:
+    """A schedule document whose slots hold small link ids, at times repeated,
+    with now and then a slot that is not an array or an entry that is not an id."""
+    ids = (st.integers(0, 6) | st.sampled_from(BAD_IDS)) if draw(st.booleans()) else st.integers(0, 6)
+    slots = draw(st.lists(st.lists(ids, max_size=5), max_size=4))
+    if slots and draw(st.integers(0, 4)) == 0:
+        slots[draw(st.integers(0, len(slots) - 1))] = draw(st.sampled_from((0, "x", {}, None)))
+    return json.dumps({"schema": "sinr-linsched/1", "slots": slots})
+
+
+@FIXED
+@example('{"schema": "sinr-linsched/1", "slots": [[0, 1], [2, true, 2]]}')
+@example('{"schema": "sinr-linsched/1", "slots": [[0, 1], [2, 3, 2, 1.0]]}')
+@given(schedule_documents())
+def test_schedule_loader_is_the_per_id_reference(text):
+    results = []
+    for load in (load_schedule, load_schedule_reference):
+        try:
+            results.append(load(text))
+        except FormatError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
 
 
 def _assert_validation_matches_reference(inst: Instance) -> None:
