@@ -71,6 +71,18 @@ def _parse_c(text: str, inst: Instance) -> tuple[scheduler.SchedulerConfig, bool
     return scheduler.SchedulerConfig(c=value), False
 
 
+def _cap(text: str) -> int:
+    """An oracle cap, checked as argparse reads it, before any file is written."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    try:
+        return oracle.check_cap(cap)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _params(args: argparse.Namespace) -> PhysicalParams:
     return PhysicalParams(**{f.name: getattr(args, f.name) for f in fields(PhysicalParams)})
 
@@ -252,20 +264,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact minimum-length schedule (small n)")
     _add_instance_arg(p)
-    p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+    p.add_argument("--cap", type=_cap, default=oracle.DEFAULT_CAP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("decide2", help="can the links fit in two slots?")
     _add_instance_arg(p)
-    p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+    p.add_argument("--cap", type=_cap, default=oracle.DEFAULT_CAP)
     p.set_defaults(func=_cmd_decide2)
 
     p = sub.add_parser("reduce", help="build an adversarial instance from PARTITION")
     p.add_argument("--partition", required=True, help="comma-separated positive ints")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+    p.add_argument("--cap", type=_cap, default=oracle.DEFAULT_CAP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reduce)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernel
 from .model import REL_TOL, Instance, MatrixMetric, PhysicalParams
-from .oracle import DEFAULT_CAP, partition_solve, two_slot_decision
+from .oracle import DEFAULT_CAP, check_cap, partition_solve, two_slot_decision
 from .sinr import slot_feasible
 
 _INT64_MAX = 2**63 - 1
@@ -249,7 +249,7 @@ def verify_reduction(art: ReductionArtifact, cap: int = DEFAULT_CAP) -> Reductio
     two_slot: bool | None = None
     partition_yes: bool | None = None
     equivalence: bool | None = None
-    skipped = inst.n > cap
+    skipped = inst.n > check_cap(cap)
     if skipped:
         notes.append(
             f"oracle skipped: {inst.n} links exceed the cap {cap}; "

@@ -438,6 +438,13 @@ def check_partition(sched: Schedule, inst: Instance) -> list[str]:
 _KINDS = {dict: "a JSON object", list: "a JSON array", int: "an integer", float: "a number"}
 
 
+def _quoted(text: str) -> str:
+    """``text``, an offending value, as an error message quotes it: whole up to
+    500 characters, so that a 401-digit integer just past the float range
+    still shows, and otherwise by its first 60 characters and its length."""
+    return text if len(text) <= 500 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def _checked(value, kind: type, name: str):
     """``value`` if it is a ``kind`` (dict, list, int or float); FormatError otherwise.
 
@@ -445,7 +452,7 @@ def _checked(value, kind: type, name: str):
     are neither numbers nor integers.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        got = "" if kind is dict or kind is list else f", got {value!r}"
+        got = "" if kind is dict or kind is list else f", got {_quoted(repr(value))}"
         raise FormatError(f"field '{name}' must be {_KINDS[kind]}{got}")
     if kind is not float:
         return value
@@ -454,7 +461,7 @@ def _checked(value, kind: type, name: str):
     except OverflowError:  # an integer literal beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise FormatError(f"field '{name}' must be a finite number, got {value!r}")
+        raise FormatError(f"field '{name}' must be a finite number, got {_quoted(repr(value))}")
     return number
 
 
@@ -473,7 +480,7 @@ def _field(obj: dict, key: str, where: str, kind: type | None, name: str | None 
 def _reject_unknown(obj: dict, allowed, where: str) -> None:
     for key in obj:
         if key not in allowed:
-            raise FormatError(f"unknown field '{key}' in {where}")
+            raise FormatError(f"unknown field '{_quoted(key)}' in {where}")
 
 
 def _number_rows(rows: list, name: str, width: int | None, expected: str) -> np.ndarray:
@@ -540,7 +547,7 @@ def _document(text: str, where: str, allowed: set[str]) -> dict:
         raise FormatError(f"{where} must be a JSON object")
     schema = _field(doc, "schema", where, None)
     if schema != SCHEMA:
-        raise FormatError(f"unsupported schema {schema!r}, expected {SCHEMA!r}")
+        raise FormatError(f"unsupported schema {_quoted(repr(schema))}, expected {SCHEMA!r}")
     _reject_unknown(doc, allowed, where)
     return doc
 
@@ -652,7 +659,7 @@ def _link_nodes(links: list) -> tuple[list[int], list[int]]:
         link_id = _field(entry, "id", link, int)
         if link_id != i:
             raise FormatError(
-                f"field '{link}.id' is {link_id}, but link ids must equal their "
+                f"field '{link}.id' is {_quoted(str(link_id))}, but link ids must equal their "
                 "positions (link-ids)"
             )
         _field(entry, "sender", link, int)
@@ -690,7 +697,7 @@ def load_instance(text: str) -> Instance:
             d=_number_rows(rows, "metric.d", None, "entries, expected {} as in metric.d[0]")
         )
     else:
-        raise FormatError(f"unknown metric type {mtype!r}")
+        raise FormatError(f"unknown metric type {_quoted(repr(mtype))}")
 
     senders, receivers = _link_nodes(_field(doc, "links", where, list, "links"))
     try:
@@ -736,7 +743,7 @@ def load_schedule(text: str) -> Schedule:
         slot = frozenset(ids)
         if len(slot) != len(ids):
             repeated = next(x for k, x in enumerate(ids) if x in ids[:k])
-            raise FormatError(f"slots[{i}] repeats link id {repeated}")
+            raise FormatError(f"slots[{i}] repeats link id {_quoted(str(repeated))}")
         slots.append(slot)
     return Schedule(slots=tuple(slots))
 

@@ -57,10 +57,17 @@ class SubsetTable:
     feasible: np.ndarray  # bool, length 2^n, indexed by bitmask
 
 
-def _check_cap(n: int, cap: int) -> None:
+def check_cap(cap: int) -> int:
+    """``cap`` if it is an oracle cap, from 0 to ``HARD_CAP``; ValueError otherwise."""
+    if cap < 0:
+        raise ValueError(f"cap {cap} is negative")
     if cap > HARD_CAP:
         raise ValueError(f"cap {cap} exceeds the hard cap {HARD_CAP}")
-    if n > cap:
+    return cap
+
+
+def _check_cap(n: int, cap: int) -> None:
+    if n > check_cap(cap):
         raise ValueError(
             f"instance has {n} links, above the exact-oracle cap {cap}; "
             "the subset enumeration would need 2^n feasibility checks"
@@ -72,33 +79,29 @@ def _bit_matrix(k: int) -> np.ndarray:
     return ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.float64)
 
 
-def _ranked(load: np.ndarray, bits: np.ndarray, first: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Every link's loads from one half, sorted, and each mask's rank among them.
+def _ranked(load: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every link's loads from the high half, sorted, and each mask's rank among them.
 
-    Returns s[v, k], the k-th smallest load on link v from a mask of the
-    half, and rank[v, x], the position of load[x, v] in s[v], or -1 where v
-    is one of the half's own links, numbered from ``first``, but not in mask
-    x.  Equal loads take their positions in any order: they pass or fail
-    together.
+    Returns s[v, k], the k-th smallest load on link v from a high mask, and
+    rank[v, h], the int16 position of load[h, v] in s[v], or -1 where v is
+    a high link, one of the last ``bits.shape[1]``, not in mask h.  Equal
+    loads take their positions in any order: they pass or fail together.
     """
     order = np.argsort(load.T, axis=1)
     s = np.take_along_axis(load.T, order, axis=1)
-    rank = np.empty(order.shape, dtype=dtype)
-    np.put_along_axis(rank, order, np.arange(len(load), dtype=dtype)[None], axis=1)
-    rank[first : first + bits.shape[1]][bits.T == 0] = -1
+    rank = np.empty(order.shape, dtype=np.int16)
+    np.put_along_axis(rank, order, np.arange(len(load), dtype=np.int16)[None], axis=1)
+    rank[len(rank) - bits.shape[1] :][bits.T == 0] = -1
     return s, rank
 
 
-def _limits(
-    load: np.ndarray, bits: np.ndarray, first: int, s: np.ndarray, cut: float, dtype
-) -> np.ndarray:
-    """lim[v, y]: the last k with fl(load[y, v] + s[v, k]) <= cut, -1 if none.
+def _limits(load: np.ndarray, bits: np.ndarray, s: np.ndarray, cut: float) -> np.ndarray:
+    """lim[v, i]: the last k with fl(load[i, v] + s[v, k]) <= cut, -1 if none.
 
     The passing k are a prefix of s[v], found by one binary search for all
-    (v, y) at once, bit by bit from the top; s is padded with NaN, which
-    fails.  Where v is one of the half's own links, numbered from
-    ``first``, but not in mask y, lim is the last position: v's test does
-    not apply.
+    (v, i) at once, bit by bit from the top; s is padded with NaN, which
+    fails.  Where v is a low link, one of the first ``bits.shape[1]``, not
+    in mask i, lim is the last position: v's test does not apply.
     """
     n, m = s.shape
     steps = m.bit_length()
@@ -106,12 +109,12 @@ def _limits(
     padded[:, :m] = s
     row = (np.arange(n) << steps)[:, None]
     other = load.T.copy()
-    count = np.zeros(other.shape, dtype=np.intp)
+    last = np.repeat(row - 1, other.shape[1], axis=1)  # flat index in padded of the last k passed
     for k in reversed(range(steps)):
-        probe = count + (1 << k)
-        np.copyto(count, probe, where=other + padded.take(row + probe - 1) <= cut)
-    lim = (count - 1).astype(dtype)
-    lim[first : first + bits.shape[1]][bits.T == 0] = m - 1
+        probe = last + (1 << k)
+        np.copyto(last, probe, where=other + padded.take(probe) <= cut)
+    lim = (last - row).astype(np.int16)
+    lim[: bits.shape[1]][bits.T == 0] = m - 1
     return lim
 
 
@@ -127,17 +130,17 @@ def subset_table(inst: Instance, cap: int = DEFAULT_CAP) -> SubsetTable:
 
     That verdict is a prefix count.  The largest member load that
     ``np.fmax`` would find is one of the loads, so the mask passes iff each
-    member's does; and rounded addition is monotone, so for a fixed load from
-    one half the loads from the other half that pass are a prefix of them in
-    sorted order.  The larger half's loads are therefore sorted once per
-    link, each mask taking its rank, and each load of the smaller half finds
-    the length of its passing prefix by binary search with the float test
-    itself.  A member passes iff its rank lies inside its prefix, and a
-    non-member always does: the table is n compares of int16 ranks per mask,
-    in blocks of rows of about a kernel block of float64s.  Ranks are int32
-    only for a half of more than 2^15 masks, which only another
-    ``kernel.BLOCK`` makes.  Rounded addition is monotone, so the table
-    stays downward closed.
+    member's does; and rounded addition is monotone, so for a fixed low load
+    the high loads that pass are a prefix of them in sorted order.  The high
+    half's loads are therefore sorted once per link, each mask taking its
+    rank, and each low load finds the length of its passing prefix by binary
+    search with the float test itself.  The high half is ranked at every
+    size: up to n = 18 at the default block it is the smaller half, so its
+    sort is cheap, and each step of the search over the low half is one
+    vectorized pass.  A member passes iff its rank lies inside its prefix,
+    and a non-member always does: the table is n compares of int16 ranks
+    per mask, in blocks of rows of about a kernel block of float64s.
+    Rounded addition is monotone, so the table stays downward closed.
     """
     n = inst.n
     _check_cap(n, cap)
@@ -145,24 +148,18 @@ def subset_table(inst: Instance, cap: int = DEFAULT_CAP) -> SubsetTable:
         return SubsetTable(feasible=np.ones(1, dtype=bool))
     cut = kernel.rel_leq_cut(inst.params.affectance_threshold())
     t = _term_matrix(inst)
-    w = min(n, max(1, (kernel.BLOCK // n).bit_length() - 1))
+    # n - w <= 15: the high half holds at most 2^15 masks, so ranks and limits fit int16
+    w = min(n, max(1, n - 15, (kernel.BLOCK // n).bit_length() - 1))
     lo_bits, hi_bits = _bit_matrix(w), _bit_matrix(n - w)
-    lo = (_half_loads(lo_bits, t[:w]), lo_bits, 0)  # lo[0][i, v] = lo_v(i)
-    hi = (_half_loads(hi_bits, t[w:]), hi_bits, w)  # hi[0][h, v] = hi_v(h)
-    rank_hi = n - w >= w
-    big, small = (hi, lo) if rank_hi else (lo, hi)
-    dtype = np.int16 if len(big[0]) <= 1 << 15 else np.int32
-    s, rank = _ranked(*big, dtype)
-    lim = _limits(*small, s, cut, dtype)
-    # row[v, h] against col[v, i]: rank <= lim, or lim >= rank
-    row, col, passes = (rank, lim, np.less_equal) if rank_hi else (lim, rank, np.greater_equal)
-    feasible = np.empty((len(hi[0]), len(lo[0])), dtype=bool)
+    s, rank = _ranked(_half_loads(hi_bits, t[w:]), hi_bits)
+    lim = _limits(_half_loads(lo_bits, t[:w]), lo_bits, s, cut)
+    feasible = np.empty((1 << (n - w), 1 << w), dtype=bool)
     for hs in kernel.blocks(len(feasible), max(1, feasible.shape[1] >> 3)):
         table = feasible[hs]
-        passes(row[0, hs, None], col[0], out=table)
+        np.less_equal(rank[0, hs, None], lim[0], out=table)
         verdict = np.empty_like(table)
         for v in range(1, n):
-            passes(row[v, hs, None], col[v], out=verdict)
+            np.less_equal(rank[v, hs, None], lim[v], out=verdict)
             table &= verdict
     return SubsetTable(feasible=feasible.reshape(-1))
 
@@ -198,7 +195,6 @@ def optimal_schedule(inst: Instance, cap: int = DEFAULT_CAP) -> Schedule:
     and leaves a rest one layer lower.  O(n 2^n) per layer after the table.
     """
     n = inst.n
-    _check_cap(n, cap)
     feas = subset_table(inst, cap).feasible
     for v in range(n):
         if not feas[1 << v]:
@@ -246,11 +242,9 @@ def two_slot_decision(inst: Instance, cap: int = DEFAULT_CAP) -> bool:
     Scans the subsets containing link 0 and checks both halves against the
     table; no minimum-partition DP needed.
     """
-    n = inst.n
-    _check_cap(n, cap)
-    if n == 0:
-        return True
     feas = subset_table(inst, cap).feasible
+    if inst.n == 0:
+        return True
     # the odd masks 2j+1 hold link 0; their complements 2^n-2-2j run down the even ones
     rest_ok = feas[-2::-2].copy()
     rest_ok[-1] = True  # the full set leaves an empty second slot

@@ -391,7 +391,7 @@ def subset_table_elementwise(inst: Instance, cap: int) -> np.ndarray:
     t = _term_matrix(inst)
     saturated = np.isinf(t)
     t[saturated] = 0.0
-    w = min(n, max(1, (kernel.BLOCK // n).bit_length() - 1))
+    w = min(n, max(1, n - 15, (kernel.BLOCK // n).bit_length() - 1))
     lo_bits, hi_bits = _bit_matrix(w), _bit_matrix(n - w)
     lo_load, lo_inf = (lo_bits @ t[:w]).T, (lo_bits @ saturated[:w]).T
     hi_load, hi_inf = hi_bits @ t[w:], hi_bits @ saturated[w:]

@@ -172,6 +172,43 @@ def test_exact_respects_cap(tmp_path, capsys):
     assert code == 2  # default cap 16
 
 
+def _empty_instance(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(save_instance(Instance(
+        metric=EuclideanMetric(points=[[0.0, 0.0]]), senders=[], receivers=[],
+        params=PhysicalParams(alpha=3.0, beta=2.0),
+    )))
+    return path
+
+
+@pytest.mark.parametrize("command, cap", [
+    ("exact", "-1"), ("exact", "21"), ("decide2", "-1"), ("decide2", "21"),
+])
+def test_a_cap_outside_0_to_20_exits_2_on_an_empty_instance(tmp_path, capsys, command, cap):
+    argv = [command, "--in", str(_empty_instance(tmp_path)), "--cap", cap]
+    out = tmp_path / "x.json"
+    assert cli.run(argv + (["--out", str(out)] if command == "exact" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --cap: cap " in captured.err
+    assert max(map(len, captured.err.splitlines())) <= 300
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("partition, cap", [
+    ("1,2,3", "-5"),  # 11 links
+    ("1,2,3", "25"),
+    (",".join(map(str, range(1, 31))), "25"),  # 92 links, beyond any cap
+], ids=["11-links-cap--5", "11-links-cap-25", "92-links-cap-25"])
+def test_reduce_refuses_a_cap_outside_0_to_20_before_writing(tmp_path, capsys, partition, cap):
+    out = tmp_path / "red.json"
+    argv = ["reduce", "--partition", partition, "--alpha", "3", "--beta", "2", "--cap", cap]
+    assert cli.run(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --cap: cap " in captured.err
+    assert max(map(len, captured.err.splitlines())) <= 300
+    assert not out.exists() and not (tmp_path / "red.verify.json").exists()
+
+
 def test_bound_beyond_float_range_manual_c(tmp_path, capsys):
     # c^alpha = 1e900 is beyond the float range: no bound to print, but it holds
     inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
@@ -673,6 +710,42 @@ def test_repeated_id_in_a_slot_exit_2(tmp_path, capsys):
         assert cli.run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: slots[0] repeats link id 0\n"
+
+
+_LONG = "x" * 100_000
+_DIGITS = int("9" * 4300)  # the longest integer literal json reads
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("document, path, value", [
+    ("instance", ("metric", "points", 0, 0), [1.0] * 100_000),
+    ("instance", ("params", _LONG), 1.0),  # an unknown field name
+    ("instance", ("schema",), _LONG),
+    ("instance", ("metric", "type"), _LONG),
+    ("instance", ("params", "alpha"), _LONG),
+    ("schedule", ("slots", 0, 0), _LONG),
+    ("instance", ("links", 0, "id"), _DIGITS),
+    ("schedule", ("slots", 0), [_DIGITS, _DIGITS]),
+], ids=["coordinate-list", "field-name", "schema", "metric-type", "alpha", "slot-id",
+        "link-id", "repeated-slot-id"])
+def test_a_long_offending_value_gives_one_bounded_line(tmp_path, capsys, document, path, value):
+    inst = _two_links_at(tmp_path, ((0.0, 0.0), (1.0, 0.0), (100.0, 0.0), (101.0, 0.0)))
+    sched = tmp_path / "sched.json"
+    sched.write_text(save_schedule(Schedule(slots=(frozenset({0}), frozenset({1})))))
+    target = inst if document == "instance" else sched
+    doc = json.loads(target.read_text())
+    _set(doc, path, value)
+    target.write_text(json.dumps(doc))
+    assert cli.run(["verify", "--in", str(inst), "--sched", str(sched)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and len(captured.err) <= 301
+    assert "characters)" in captured.err
 
 
 @pytest.mark.parametrize("x", [5.039684197899402, 5.039684197899403])

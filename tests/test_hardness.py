@@ -289,6 +289,13 @@ def test_verify_reduction_respects_cap():
     assert rep.identity_ok  # the algebraic check still runs
 
 
+@pytest.mark.parametrize("cap", [-5, 25])
+def test_verify_reduction_refuses_a_cap_outside_0_to_20_before_skipping(cap):
+    # 11 links: at cap -5 the oracle would be skipped, at cap 25 it would refuse
+    with pytest.raises(ValueError, match=f"^cap {cap} "):
+        verify_reduction(build_reduction([1, 2, 3], alpha=3.0, beta=2.0), cap=cap)
+
+
 @pytest.mark.parametrize("alpha, beta", [(3.0, 2.0), (4.0, 3.0)])
 def test_reductions_pin_the_gap_of_one_half(alpha, beta):
     # Every multiset of 1-4 values from 1-5 (125 inputs, up to 14 links): a

@@ -558,6 +558,15 @@ def test_loader_messages_exact(loader, base, path, value, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("length, whole", [(498, True), (499, False)])
+def test_a_message_quotes_a_value_whole_up_to_500_characters(length, whole):
+    schema = "s" * length  # its repr is two characters longer
+    with pytest.raises(FormatError) as exc:
+        load_instance(json.dumps(_changed(_INSTANCE, ("schema",), schema)))
+    assert (repr(schema) in str(exc.value)) is whole
+    assert ("(501 characters)" in str(exc.value)) is not whole
+
+
 def test_loader_bad_json_message_exact():
     for loader, where in ((load_instance, "instance document"), (load_schedule, "schedule document")):
         with pytest.raises(FormatError) as exc:

@@ -116,6 +116,8 @@ ELEMENTWISE_CASES = {
     "budget-0": _noisy(0.5),  # thr = 0: only loads of exactly 0 pass
     "budget-below-0": _noisy(0.6),
     "pseudometric": line_pseudometric(1, n=9),
+    # at the default block the ranked high half holds 2^3 and 2^5 masks
+    **{f"euclid-box10-n{n}": make_random_instance(seed=3, n=n, box=10.0) for n in (13, 15)},
     # the load on link 0 is 0.5000000005, the float above the cut of thr = 0.5
     "band-edge": Instance(EuclideanMetric(points=[[0.0], [1.0], [2.414213561665988], [3.414213561665988]]),
                           [0, 2], [1, 3], PhysicalParams(alpha=2.0, beta=2.0)),
@@ -165,29 +167,28 @@ def test_subset_table_of_17_to_20_links_is_the_elementwise_loop(name):
     assert np.array_equal(table, subset_table_elementwise(inst, 20))
 
 
-@pytest.mark.parametrize("block, n, ranked_half", [
-    # a block of 1 leaves one link in the low half, so the ranked high half
-    # holds 2^15 masks: ranks fill int16 from -1 to 2^15 - 1
-    (1, 16, (1 << 15, np.int16)),
-    # a large block ranks the low half, here at 2^15 and at 2^16 masks
-    (1 << 19, 16, (1 << 15, np.int16)),
-    (1 << 21, 17, (1 << 16, np.int32)),
-], ids=["high-2^15", "low-2^15", "low-2^16"])
-def test_ranks_at_the_edge_of_their_type_are_the_elementwise_loop(
-    monkeypatch, block, n, ranked_half
-):
+@pytest.mark.parametrize("n", [
+    # a block of 1 leaves one link in the low half
+    16,
+    # and above 16 links the n - 15 floor keeps 2^15 masks in the high half
+    17,
+    20,
+], ids=["high-2^15", "n17-high-2^15", "n20-high-2^15"])
+def test_ranks_at_the_edge_of_their_type_are_the_elementwise_loop(monkeypatch, n):
+    # the ranked high half holds 2^15 masks: ranks fill int16 from -1 to 2^15 - 1
     ranked = []
     real = oracle._ranked
 
-    def spy(load, bits, first, dtype):
-        ranked.append((len(load), dtype))
-        return real(load, bits, first, dtype)
+    def spy(load, bits):
+        s, rank = real(load, bits)
+        ranked.append((len(load), rank.dtype, int(rank.min()), int(rank.max())))
+        return s, rank
 
     monkeypatch.setattr(oracle, "_ranked", spy)
-    monkeypatch.setattr(kernel, "BLOCK", block)
+    monkeypatch.setattr(kernel, "BLOCK", 1)
     inst = make_random_instance(seed=n, n=n, box=12.0)
     table = subset_table(inst, 20).feasible
-    assert ranked == [ranked_half]
+    assert ranked == [(1 << 15, np.int16, -1, (1 << 15) - 1)]
     assert np.array_equal(table, subset_table_elementwise(inst, 20))
 
 
@@ -239,6 +240,14 @@ def test_oracle_refuses_above_cap(params):
         optimal_schedule(inst, cap=24)
     with pytest.raises(ValueError, match="cap"):
         two_slot_decision(inst, cap=8)
+
+
+@pytest.mark.parametrize("cap", [-1, 21])
+def test_oracle_refuses_a_cap_outside_0_to_20_on_an_empty_instance(cap):
+    empty = Instance(EuclideanMetric(points=[[0.0, 0.0]]), [], [], PhysicalParams(alpha=3.0, beta=2.0))
+    for entry in (subset_table, optimal_schedule, two_slot_decision):
+        with pytest.raises(ValueError, match=f"^cap {cap} "):
+            entry(empty, cap)
 
 
 def test_oracle_rejects_infeasible_singleton():
