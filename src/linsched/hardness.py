@@ -9,9 +9,11 @@ padded multiset splits into two equal-sum halves.  Link lengths stay within
 a constant factor of each other (ratio 3^(1/alpha)), so the construction
 stays inside the equal-length-class scheduling problem.
 
-Only a subset of the pairwise distances is forced by the construction; the
-rest are completed by shortest-path closure, with a hard check that the
-closure does not shorten any forced distance.
+Only the sender-receiver distances are forced by the construction; they
+are written as numpy blocks and the rest are completed by shortest-path
+closure, a Floyd-Warshall split at the senders (``_closed``, shared with
+``metric_complete``), with a hard check that the closure does not shorten
+any forced distance.
 """
 
 from __future__ import annotations
@@ -96,19 +98,51 @@ def metric_complete(specified: list[tuple[int, int, float]], n_nodes: int) -> np
     d = np.full((n_nodes, n_nodes), np.inf)
     np.fill_diagonal(d, 0.0)
     d[lo, hi] = d[hi, lo] = value[last]
-    # Floyd-Warshall; written out because zero-weight edges are legitimate
-    # here and must behave as real edges.  One buffer takes each pass's sums.
-    via = np.empty_like(d)
-    for k in range(n_nodes):
-        np.add(d[:, k : k + 1], d[k : k + 1, :], out=via)
-        np.minimum(d, via, out=d)
+    lead = int(hi.min()) if len(hi) else n_nodes  # no specified pair among nodes 0..lead-1
+    return _closed(d, lead, lo, hi, value[last].astype(float), lambda i: specified[last[i]][2])
+
+
+def _closed(d: np.ndarray, m: int, lo, hi, forced: np.ndarray, spelled) -> np.ndarray:
+    """Close the symmetric edge matrix ``d`` in place by Floyd-Warshall, then check it.
+
+    Floyd-Warshall is written out because zero-weight edges are legitimate
+    here and must behave as real edges.  No edge joins two of the nodes
+    0..m-1, so with A, B, C = d[:m, :m], d[:m, m:], d[m:, m:] every entry
+    gets the bits of the full passes ``d = minimum(d, d[:, k] + d[k, :])``:
+    a pass k < m adds inf to all of A and B but row k, so it only relaxes C
+    by row k of B, which no earlier pass changed, and takes row k's
+    ``minimum(x, 0.0 + x)``, replayed afterwards on all of B (it turns -0.0
+    into +0.0, and inf + NaN carries a NaN down its column).  A pass k >= m
+    relaxes A, B and C from a snapshot of row k read above the split:
+    ``min`` is exact and fl(x + y) = fl(y + x), so d stays symmetric bit for
+    bit and B.T is written once at the end.  Sums that overflow lose every
+    ``min``, as unrounded ones would.  Raises ValueError if a node is
+    unreachable or if the closure shortens a forced distance ``forced[i]``
+    of pair ``(lo[i], hi[i])`` by more than 1e-9 relative, naming the first
+    such pair with ``spelled(i)``.
+    """
+    n_nodes = len(d)
+    top, B, C = d[:m], d[:m, m:], d[m:, m:].copy()  # C contiguous: its rows are short
+    via, via_top = np.empty_like(C), np.empty_like(top)
+    with np.errstate(over="ignore"):
+        for k in range(m):
+            np.add(B[k, :, None], B[k], out=via)
+            np.minimum(C, via, out=C)
+        np.minimum(B, B + 0.0, out=B)
+        B[:, np.isnan(B).any(axis=0)] = np.nan
+        for k in range(m, n_nodes):
+            row = np.concatenate((B[:, k - m], C[k - m]))
+            np.add(row[:m, None], row, out=via_top)
+            np.minimum(top, via_top, out=top)
+            np.add(row[m:, None], row[m:], out=via)
+            np.minimum(C, via, out=C)
+    d[m:, m:] = C
+    d[m:, :m] = B.T
     if np.isinf(d).any():
         p, q = map(int, np.argwhere(np.isinf(d))[0])
-        raise ValueError(
-            f"nodes {p} and {q} are not connected by any specified distances"
-        )
+        raise ValueError(f"nodes {p} and {q} are not connected by any specified distances")
     # math.isclose(a, b, rel_tol=REL_TOL) elementwise, for a closure with no inf
-    a, b = d[lo, hi], value[last].astype(float)
+    a, b = d[lo, hi], forced
     diff = np.abs(b - a)
     close = (a == b) | (
         ~np.isinf(b) & ((diff <= np.abs(REL_TOL * b)) | (diff <= np.abs(REL_TOL * a)))
@@ -117,7 +151,7 @@ def metric_complete(specified: list[tuple[int, int, float]], n_nodes: int) -> np
         i = int(np.argmin(close))
         pi, qi = int(lo[i]), int(hi[i])
         raise ValueError(
-            f"completion shortens specified d({pi},{qi}) from {specified[last[i]][2]!r} "
+            f"completion shortens specified d({pi},{qi}) from {spelled(i)!r} "
             f"to {float(d[pi, qi])!r}; the specified distances violate the "
             "triangle inequality"
         )
@@ -153,48 +187,34 @@ def build_reduction(a: list[int], alpha: float, beta: float) -> ReductionArtifac
     b = pad_partition(a)
     n = len(b)
     total = sum(b)
-    n_nodes = 2 * n + 4
-
-    def s(i: int) -> int:
-        return i
-
-    def r(i: int) -> int:
-        return n + 2 + i
-
-    end_length = 3.0 ** (-1.0 / alpha)
+    m = n + 2  # senders s_i = i and receivers r_i = m + i, i = 0..n+1
     # Sender-to-end-receiver distance for middle link i, tuned so the term
     # it contributes to an end link is exactly 2*b[i-1]/(beta*total).
-    d_to_end = [0.0] + [
-        (beta * total / (2.0 * b[i - 1])) ** (1.0 / alpha) for i in range(1, n + 1)
-    ]
-
-    specified: list[tuple[int, int, float]] = []
-    specified.append((s(0), r(0), end_length))
-    specified.append((s(n + 1), r(n + 1), end_length))
-    specified.append((r(0), r(n + 1), 0.0))
-    for i in range(1, n + 1):
-        specified.append((s(i), r(i), 1.0))
-        specified.append((s(i), r(0), d_to_end[i]))
-        specified.append((s(i), r(n + 1), d_to_end[i]))
-        specified.append((s(0), r(i), d_to_end[i] + 1.0))
-        specified.append((s(n + 1), r(i), d_to_end[i] + 1.0))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                specified.append((s(i), r(j), 1.0 + d_to_end[i] + d_to_end[j]))
-    if not all(math.isfinite(value) for _, _, value in specified):
+    D = np.array([(beta * total / (2.0 * x)) ** (1.0 / alpha) for x in b])
+    d = np.full((2 * m, 2 * m), np.inf)
+    np.fill_diagonal(d, 0.0)
+    B = d[:m, m:]  # d(s_i, r_j), forced for all but (s_0, r_n+1) and (s_n+1, r_0)
+    with np.errstate(over="ignore"):  # refused below
+        B[1:-1, 1:-1] = (1.0 + D)[:, None] + D
+        B[1:-1, 0] = B[1:-1, -1] = D
+        B[0, 1:-1] = B[-1, 1:-1] = D + 1.0
+    B[range(m), range(m)] = 1.0
+    B[0, 0] = B[-1, -1] = 3.0 ** (-1.0 / alpha)  # the end links
+    d[m, -1] = d[-1, m] = 0.0  # d(r_0, r_n+1), which no closure can shorten
+    lo, hi = np.divmod(np.delete(np.arange(m * m), [m - 1, m * m - m]), m)
+    forced = B[lo, hi]
+    if not np.isfinite(forced).all():
         raise ValueError(
             f"beta*sum(B) = {beta * total!r} is too large: the sender-to-end-receiver "
             "distances tuned from it overflow the float range"
         )
-
-    matrix = metric_complete(specified, n_nodes)
-    ids = np.arange(n + 2)
+    matrix = _closed(d, m, lo, m + hi, forced, lambda i: float(forced[i]))
+    ids = np.arange(m)
     instance = Instance(
-        metric=MatrixMetric(d=matrix), senders=s(ids), receivers=r(ids), params=params
+        metric=MatrixMetric(d=matrix), senders=ids, receivers=m + ids, params=params
     )
-    node_map = {f"s{i}": s(i) for i in range(n + 2)}
-    node_map.update({f"r{i}": r(i) for i in range(n + 2)})
+    node_map = {f"s{i}": i for i in range(m)}
+    node_map.update({f"r{i}": m + i for i in range(m)})
     return ReductionArtifact(
         original_a=tuple(a),
         padded_b=tuple(b),

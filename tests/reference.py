@@ -22,8 +22,10 @@ every member's load with ``rel_leq_array``; ``subset_table`` compares each
 member's rank among its sorted half-loads with the length of its passing
 prefix and must give the same table bit for bit.
 ``metric_complete_loop`` is ``hardness.metric_complete`` as it was, one
-specified pair at a time, which the array checks must match in matrix and
-message.
+specified pair at a time with a full Floyd-Warshall pass per node, which
+the array checks and the split closure must match in matrix and message.
+``reduction_pairs_loop`` is the list of forced distances that
+``build_reduction`` used to complete with it.
 ``validate_instance_reference`` is validation as it was when it returned one
 diagnostic per offender, and ``aggregate_per_code`` folds that list into
 the one diagnostic per code that ``validate_instance`` returns.
@@ -46,6 +48,7 @@ from typing import Iterable
 import numpy as np
 
 from linsched import EuclideanMetric, Instance, SchedulerConfig, kernel
+from linsched.hardness import pad_partition
 from linsched.model import (
     REL_TOL,
     SCHEMA,
@@ -442,6 +445,39 @@ def metric_complete_loop(specified: list[tuple[int, int, float]], n_nodes: int) 
                 "triangle inequality"
             )
     return d
+
+
+def reduction_pairs_loop(a: list[int], alpha: float, beta: float) -> list[tuple[int, int, float]]:
+    """``build_reduction``'s forced distances as ``(p, q, value)`` triples, in its former order."""
+    b = pad_partition(a)
+    n = len(b)
+    total = sum(b)
+
+    def s(i: int) -> int:
+        return i
+
+    def r(i: int) -> int:
+        return n + 2 + i
+
+    end_length = 3.0 ** (-1.0 / alpha)
+    d_to_end = [0.0] + [
+        (beta * total / (2.0 * b[i - 1])) ** (1.0 / alpha) for i in range(1, n + 1)
+    ]
+    specified: list[tuple[int, int, float]] = []
+    specified.append((s(0), r(0), end_length))
+    specified.append((s(n + 1), r(n + 1), end_length))
+    specified.append((r(0), r(n + 1), 0.0))
+    for i in range(1, n + 1):
+        specified.append((s(i), r(i), 1.0))
+        specified.append((s(i), r(0), d_to_end[i]))
+        specified.append((s(i), r(n + 1), d_to_end[i]))
+        specified.append((s(0), r(i), d_to_end[i] + 1.0))
+        specified.append((s(n + 1), r(i), d_to_end[i] + 1.0))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                specified.append((s(i), r(j), 1.0 + d_to_end[i] + d_to_end[j]))
+    return specified
 
 
 def _check_matrix_reference(metric: MatrixMetric, check_triangle: bool) -> list[Diagnostic]:

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from linsched import (
     validate_instance,
     verify_reduction,
 )
-from linsched import hardness
 from linsched.hardness import metric_complete, pad_partition
 from linsched.model import MatrixMetric
 from linsched.oracle import partition_solve
@@ -227,21 +225,45 @@ def test_metric_complete_is_the_pair_loop_in_matrix_and_message():
     assert outcomes == {"matrix", *kinds}
 
 
-def test_metric_complete_of_a_30_value_reduction_is_the_pair_loop():
-    specified = []
-    real = hardness.metric_complete
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
 
-    def spy(pairs, n_nodes):
-        specified.append((pairs, n_nodes))
-        return real(pairs, n_nodes)
 
-    with mock.patch.object(hardness, "metric_complete", spy):
-        build_reduction(list(range(1, 31)), alpha=3.0, beta=2.0)
-    (pairs, n_nodes), = specified
-    # one reused buffer for the Floyd-Warshall sums against a fresh
-    # temporary per pass: the same matrix bit for bit, -0.0 and NaN included
-    expected = ref.metric_complete_loop(pairs, n_nodes)
-    assert np.array_equal(metric_complete(pairs, n_nodes).view(np.int64), expected.view(np.int64))
+@pytest.mark.parametrize("size", range(1, 41))
+def test_reduction_matrix_is_the_pair_loop_closure(size):
+    # the numpy blocks and the split closure against the former specification
+    # list under the full per-node passes, bit for bit; sizes 1-40 sweep all
+    # 25 (alpha, beta) pairs, and size 30 is also the benchmark's 1..30
+    rng = SplitMix64(1000 + size)
+    alpha, beta = (1.5, 2.5, 3.0, 4.0, 6.0)[size % 5], (0.5, 1.0, 1.7, 2.0, 3.0)[size // 5 % 5]
+    top = (5, 100, 10**6)[size % 3]
+    cases = [[1 + int(rng.random() * top) for _ in range(size)]]
+    if size == 30:
+        cases.append(list(range(1, 31)))
+        alpha, beta = 3.0, 2.0
+    for a in cases:
+        expected = ref.metric_complete_loop(ref.reduction_pairs_loop(a, alpha, beta), 6 * size + 4)
+        assert _same_bits(build_reduction(a, alpha, beta).instance.metric.d, expected), a
+
+
+def test_metric_complete_after_a_long_leading_run_is_the_pair_loop():
+    # 8 of 14 nodes with no pair among them, zero and -0.0 edges: the split
+    # closure replays pass k's minimum(x, 0.0 + x) on row k; without it
+    # d(0,8) stays -0.0, where the passes turn it into +0.0
+    rng = SplitMix64(23)
+    weights = (0.0, -0.0, -0.0, 1.0, 0.5, 2.0, 0)
+    n, lead = 14, 8
+    cases = [[(0, 8, -0.0), (0, 9, 1.0), *((q - 1, q, 1.0) for q in range(9, n))]
+             + [(p, 10 + p % 4, 0.5) for p in range(1, lead)]]
+    for _ in range(300):  # a random tree on nodes 8-13, each of 0-7 joined to one or two of them
+        specified = [(lead + int(rng.random() * (q - lead)), q, 0.5) for q in range(lead + 1, n)]
+        specified += [(p, lead + int(rng.random() * (n - lead)), 1.0) for p in range(lead)]
+        specified += [(p, lead + int(rng.random() * (n - lead)), 1.0) for p in range(lead) if rng.random() < 0.1]
+        cases.append([(p, q, weights[int(rng.random() * len(weights))]) for p, q, _ in specified])
+    outcomes = [_completion(metric_complete, specified, n) for specified in cases]
+    assert outcomes == [_completion(ref.metric_complete_loop, specified, n) for specified in cases]
+    assert sum(kind == "matrix" for kind, _ in outcomes) > 150
+    assert math.copysign(1.0, metric_complete(cases[0], n)[0, 8]) == 1.0
 
 
 def test_metric_complete_output_is_metric():

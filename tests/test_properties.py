@@ -12,7 +12,7 @@ underflowing terms, 1 to 3 dimensions, asymmetric matrices, points on
 both sides of the float32 range) against the column loops, the grid-pruned
 interference measure against the full scan, the subset table against slot
 feasibility, the raw-SINR cross-check at the edge of small budgets, and CLI
-exit codes on fuzzed instance documents.
+exit codes on fuzzed instance documents and fuzzed `reduce` arguments.
 Hypothesis runs derandomized with few examples, so the suite stays
 deterministic and fast.
 """
@@ -950,26 +950,38 @@ def _numeric_paths(doc):
     return [p for p in _paths(doc) if p and type(_get(doc, p)) in (int, float)]
 
 
+EDITS = st.lists(st.sampled_from(["number", "number", "number", "junk", "delete", "matrix"]), max_size=3)
+
+
 @st.composite
-def fuzzed_documents(draw) -> str:
+def fuzzed_documents(draw, edits=EDITS) -> str:
     """A valid base document under up to three edits: a number changed to
-    another number, any value replaced by junk, a field deleted, or the
-    metric replaced by a ragged or rectangular matrix."""
+    another number, any value below the root replaced by junk, a field
+    deleted, or the metric replaced by a ragged or rectangular matrix.  The
+    root stays an object, so every edit finds one."""
     doc = copy.deepcopy(draw(st.sampled_from(BASE_DOCS)))
-    edits = st.sampled_from(["number", "number", "number", "junk", "delete", "matrix"])
-    for action in draw(st.lists(edits, max_size=3)):
+    for action in draw(edits):
+        below_root = [p for p in _paths(doc) if p]
         if action == "number":
-            value = draw(st.floats(0.0, 20.0) | st.integers(-1, 6) | finite)
-            doc = _replace(doc, draw(st.sampled_from(_numeric_paths(doc) or [()])), value)
-        elif action == "junk":
-            doc = _replace(doc, draw(st.sampled_from(list(_paths(doc)))), draw(junk))
-        elif action == "delete":
-            paths = [p for p in _paths(doc) if p]
+            paths = _numeric_paths(doc)
             if paths:
-                doc = _delete(doc, draw(st.sampled_from(paths)))
-        else:
+                value = draw(st.floats(0.0, 20.0) | st.integers(-1, 6) | finite)
+                doc = _replace(doc, draw(st.sampled_from(paths)), value)
+        elif action == "junk" and below_root:
+            doc = _replace(doc, draw(st.sampled_from(below_root)), draw(junk))
+        elif action == "delete" and below_root:
+            doc = _delete(doc, draw(st.sampled_from(below_root)))
+        elif action == "matrix":
             doc = _replace(doc, ("metric",), {"type": "matrix", "d": draw(matrix_rows)})
     return json.dumps(doc)
+
+
+@settings(FIXED, max_examples=40)
+@given(text=fuzzed_documents(st.lists(st.sampled_from(["junk", "number", "matrix"]), min_size=2, max_size=3)))
+def test_fuzzed_documents_keep_an_object_at_the_root(text):
+    # junk or a number once replaced the root, and a later matrix edit then
+    # indexed a non-object while the document was drawn
+    assert isinstance(json.loads(text), dict)
 
 
 schedules = st.one_of(
@@ -1011,3 +1023,56 @@ def test_cli_exit_codes_on_fuzzed_instances(tmp_path_factory, text, slots, own_s
         code, err = _run(argv)
         assert code in (0, 1, 2), (argv[0], code, err, text)
         assert "Traceback" not in err
+
+
+@settings(FIXED, max_examples=100)
+@given(text=fuzzed_documents(), cap=st.sampled_from(["16", "20", "0", "-1", "21", "x"]))
+def test_oracle_exit_codes_on_fuzzed_instances(tmp_path_factory, text, cap):
+    d = tmp_path_factory.mktemp("fuzz")
+    inst = d / "inst.json"
+    inst.write_text(text, encoding="utf-8")
+    for argv in (
+        ["exact", "--in", str(inst), "--cap", cap, "--out", str(d / "opt.json")],
+        ["decide2", "--in", str(inst), "--cap", cap],
+    ):
+        code, err = _run(argv)
+        assert code in (0, 1, 2), (argv[0], code, err, text)
+        assert "Traceback" not in err
+
+
+# reduce's odd numbers: NaN, both infinities, zeros, a negative, the ends of
+# the float range, and 1e306, where beta lets the closure's sums overflow
+ODD_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-2", "1e308", "1e-320", "1e306"])
+ODD_ENTRIES = st.sampled_from([str(10**30), "0", "-3", "", " ", "x", "1.5", "nan", "1e3", "0x10"])
+
+
+@st.composite
+def reduce_arguments(draw) -> tuple[str, str, str]:
+    """alpha, beta and a partition, at most one of them odd (a partition with
+    one huge, zero, negative, empty or junk entry)."""
+    alpha = draw(st.sampled_from(["1.0000001", "1.5", "2", "3", "4", "1e308"]))
+    beta = draw(st.sampled_from(["0.5", "1", "1.7", "2", "3", "1e306"]))
+    entries = draw(st.lists(st.integers(1, 40).map(str), min_size=1, max_size=5))
+    odd = draw(st.sampled_from(["none", "alpha", "beta", "partition"]))
+    if odd == "alpha":
+        alpha = draw(ODD_NUMBERS)
+    elif odd == "beta":
+        beta = draw(ODD_NUMBERS)
+    elif odd == "partition":
+        entries.insert(draw(st.integers(0, len(entries))), draw(ODD_ENTRIES))
+    return alpha, beta, ",".join(entries)
+
+
+@settings(FIXED, max_examples=150)
+@given(args=reduce_arguments())
+@example(args=("1.0000001", "1e306", "1,2,3"))  # the closure's sums overflow
+def test_reduce_exit_codes_on_fuzzed_arguments(tmp_path_factory, args):
+    alpha, beta, partition = args
+    d = tmp_path_factory.mktemp("reduce")
+    argv = ["reduce", f"--partition={partition}", f"--alpha={alpha}", f"--beta={beta}",
+            "--out", str(d / "red.json")]
+    code, err = _run(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:  # a refusal writes neither the instance nor its sidecar
+        assert list(d.iterdir()) == [], argv
