@@ -181,8 +181,23 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             f"--partition must be comma-separated integers, got {args.partition!r}"
         ) from None
     art = hardness.build_reduction(values, alpha=args.alpha, beta=args.beta)
+    verified = hardness.verify_reduction(art, cap=args.cap)
+    if not verified.identity_ok:
+        raise FormatError(
+            f"alpha = {args.alpha!r}, beta = {args.beta!r} cannot be encoded: the end links "
+            f"receive {verified.affectance_on_end_links} from the middle links, "
+            f"not 2/beta = {verified.expected_end_affectance!r}"
+        )
+    if verified.equivalence_ok is False:
+        answer = {True: "yes", False: "no"}
+        raise FormatError(
+            f"--partition {args.partition!r} cannot be encoded at alpha = {args.alpha!r}, "
+            f"beta = {args.beta!r}: the instance's two-slot answer is "
+            f"{answer[verified.two_slot_schedulable]!r}, PARTITION's is "
+            f"{answer[verified.partition_solvable]!r}"
+        )
     _write(args.out, save_instance(art.instance))
-    report = asdict(hardness.verify_reduction(art, cap=args.cap))
+    report = asdict(verified)
     sidecar = {
         "A": list(art.original_a),
         "B": list(art.padded_b),

@@ -57,49 +57,35 @@ def metric_complete(specified: list[tuple[int, int, float]], n_nodes: int) -> np
 
     Runs all-pairs shortest paths over the graph whose edges are exactly the
     specified pairs, so symmetry and the triangle inequality hold by
-    construction.  Raises ValueError if two specifications of the same pair
-    conflict, if any node is unreachable, or if the closure shortens a
-    specified distance by more than 1e-9 relative (the construction would be
+    construction.  Raises ValueError at the first pair in list order that is
+    out of range, negative, a nonzero diagonal or in conflict with the pair's
+    previous specification; a pair specified more than once takes its last
+    value.  Also raises if any node is unreachable, or if the closure shortens
+    a specified distance by more than 1e-9 relative (the construction would be
     inconsistent).
-
-    The pairs are checked at once, and the first offender in list order is
-    named: its first failing check among range, sign, diagonal and conflict
-    with the pair's previous specification.  A pair specified more than once
-    takes its last value, as a loop over the list would.
     """
-    m = len(specified)
-    p, q, value = (np.array(col) for col in zip(*specified)) if m else (np.zeros(0, int),) * 3
-    key = np.minimum(p, q) * n_nodes + np.maximum(p, q)
-    order = np.argsort(key, kind="stable")  # each pair's specifications in list order
-    repeat = key[order[1:]] == key[order[:-1]]
-    conflict = np.zeros(m, dtype=bool)
-    conflict[order[1:][repeat & (value[order[1:]] != value[order[:-1]])]] = True
-    bad = (p < 0) | (p >= n_nodes) | (q < 0) | (q >= n_nodes) | (value < 0)
-    bad |= ((p == q) & (value != 0.0)) | conflict
-    if bad.any():
-        j = int(np.argmax(bad))
-        pj, qj, vj = specified[j]
-        if not (0 <= pj < n_nodes and 0 <= qj < n_nodes):
-            raise ValueError(f"specified pair ({pj},{qj}) out of range for {n_nodes} nodes")
-        if vj < 0:
-            raise ValueError(f"specified distance d({pj},{qj}) = {vj!r} is negative")
-        if pj == qj:
-            raise ValueError(f"d({pj},{pj}) specified as {vj!r}, must be 0")
-        previous = order[np.flatnonzero(order == j)[0] - 1]  # the pair's previous specification
-        raise ValueError(
-            f"conflicting specifications for pair {(min(pj, qj), max(pj, qj))}: "
-            f"{specified[previous][2]!r} vs {vj!r}"
-        )
-    # the last specification of each pair off the diagonal, in order of first appearance
-    last = order[np.append(~repeat, True) & (p[order] != q[order])]
-    first = order[np.insert(~repeat, 0, True) & (p[order] != q[order])]
-    last = last[np.argsort(first)]
-    lo, hi = np.minimum(p[last], q[last]), np.maximum(p[last], q[last])
     d = np.full((n_nodes, n_nodes), np.inf)
     np.fill_diagonal(d, 0.0)
-    d[lo, hi] = d[hi, lo] = value[last]
-    lead = int(hi.min()) if len(hi) else n_nodes  # no specified pair among nodes 0..lead-1
-    return _closed(d, lead, lo, hi, value[last].astype(float), lambda i: specified[last[i]][2])
+    seen: dict[tuple[int, int], float] = {}
+    for p, q, value in specified:
+        if not (0 <= p < n_nodes and 0 <= q < n_nodes):
+            raise ValueError(f"specified pair ({p},{q}) out of range for {n_nodes} nodes")
+        if value < 0:
+            raise ValueError(f"specified distance d({p},{q}) = {value!r} is negative")
+        if p == q:
+            if value != 0.0:
+                raise ValueError(f"d({p},{p}) specified as {value!r}, must be 0")
+            continue
+        key = (min(p, q), max(p, q))
+        if key in seen and seen[key] != value:
+            raise ValueError(
+                f"conflicting specifications for pair {key}: {seen[key]!r} vs {value!r}"
+            )
+        seen[key] = value
+        d[p, q] = d[q, p] = value  # a non-integer id fails here, as an index
+    lo, hi = np.array(list(seen), dtype=np.intp).reshape(-1, 2).T
+    values = list(seen.values())
+    return _closed(d, 0, lo, hi, np.array(values, dtype=float), values.__getitem__)
 
 
 def _closed(d: np.ndarray, m: int, lo, hi, forced: np.ndarray, spelled) -> np.ndarray:
@@ -110,16 +96,17 @@ def _closed(d: np.ndarray, m: int, lo, hi, forced: np.ndarray, spelled) -> np.nd
     0..m-1, so with A, B, C = d[:m, :m], d[:m, m:], d[m:, m:] every entry
     gets the bits of the full passes ``d = minimum(d, d[:, k] + d[k, :])``:
     a pass k < m adds inf to all of A and B but row k, so it only relaxes C
-    by row k of B, which no earlier pass changed, and takes row k's
-    ``minimum(x, 0.0 + x)``, replayed afterwards on all of B (it turns -0.0
-    into +0.0, and inf + NaN carries a NaN down its column).  A pass k >= m
-    relaxes A, B and C from a snapshot of row k read above the split:
-    ``min`` is exact and fl(x + y) = fl(y + x), so d stays symmetric bit for
-    bit and B.T is written once at the end.  Sums that overflow lose every
-    ``min``, as unrounded ones would.  Raises ValueError if a node is
-    unreachable or if the closure shortens a forced distance ``forced[i]``
-    of pair ``(lo[i], hi[i])`` by more than 1e-9 relative, naming the first
-    such pair with ``spelled(i)``.
+    by row k of B, which no earlier pass changed, and on row k itself it
+    takes ``minimum(x, 0.0 + x)``, which is x for every x but -0.0 and NaN.
+    B holds neither: ``metric_complete`` does not split (m = 0), and
+    ``build_reduction``'s B holds its finite positive forced distances and
+    +inf.  A pass k >= m relaxes A, B and C from a snapshot of row k read
+    above the split: ``min`` is exact and fl(x + y) = fl(y + x), so d stays
+    symmetric bit for bit and B.T is written once at the end.  Sums that
+    overflow lose every ``min``, as unrounded ones would.  Raises ValueError
+    if a node is unreachable or if the closure shortens a forced distance
+    ``forced[i]`` of pair ``(lo[i], hi[i])`` by more than 1e-9 relative,
+    naming the first such pair with ``spelled(i)``.
     """
     n_nodes = len(d)
     top, B, C = d[:m], d[:m, m:], d[m:, m:].copy()  # C contiguous: its rows are short
@@ -128,8 +115,6 @@ def _closed(d: np.ndarray, m: int, lo, hi, forced: np.ndarray, spelled) -> np.nd
         for k in range(m):
             np.add(B[k, :, None], B[k], out=via)
             np.minimum(C, via, out=C)
-        np.minimum(B, B + 0.0, out=B)
-        B[:, np.isnan(B).any(axis=0)] = np.nan
         for k in range(m, n_nodes):
             row = np.concatenate((B[:, k - m], C[k - m]))
             np.add(row[:m, None], row, out=via_top)

@@ -188,7 +188,8 @@ def optimal_schedule(inst: Instance, cap: int = DEFAULT_CAP) -> Schedule:
 
     Requires every singleton to be feasible (true whenever validation
     passes).  Layer k marks the link sets that are unions of k feasible
-    sets: the Moebius transform of zeta(layer k-1) times zeta(table) counts,
+    sets.  Layer 1 is the table; for k >= 2, the Moebius transform of
+    zeta(layer k-1) times zeta(table) counts,
     for each set Y, the pairs (A, S) with A in layer k-1, S feasible and
     A | S = Y.  With dp[mask] the first layer that holds mask, each slot is
     the numerically largest feasible submask that holds the lowest link left
@@ -203,18 +204,19 @@ def optimal_schedule(inst: Instance, cap: int = DEFAULT_CAP) -> Schedule:
                 "(instance fails validation)"
             )
     full = (1 << n) - 1
-    f = _zeta(feas.astype(np.int64), n)
     dp = np.full(full + 1, n + 1, dtype=np.int8)
+    dp[feas] = 1  # layer 1 is the table itself
     dp[0] = 0
-    layer = np.zeros(full + 1, dtype=np.int64)
-    layer[0] = 1
-    for k in range(1, n + 1):  # singletons are feasible: n layers reach the full set
-        _zeta(layer, n)
-        layer *= f
-        np.minimum(_zeta(layer, n, np.subtract), 1, out=layer)
-        dp[(layer > 0) & (dp > n)] = k
-        if dp[full] == k:
-            break
+    if dp[full] > 1:
+        f = _zeta(feas.astype(np.int64), n)
+        layer = f.copy()  # zeta(layer 1)
+        for k in range(2, n + 1):  # singletons are feasible: layer n holds the full set
+            layer *= f
+            np.minimum(_zeta(layer, n, np.subtract), 1, out=layer)
+            dp[(layer > 0) & (dp > n)] = k
+            if dp[full] == k:
+                break
+            _zeta(layer, n)
     slots = []
     mask = full
     while mask:
@@ -255,8 +257,9 @@ def partition_solve(values: list[int]) -> list[int] | None:
     """Split a multiset of positive integers into two equal-sum halves.
 
     Returns the indices of one half, or None when no split exists.
-    Pseudo-polynomial: reachable sums are kept as bits of a big integer,
-    with per-element snapshots for reconstruction.
+    Reachable sums up to half the total are kept as a set per prefix, at
+    most min(2^i, total/2 + 1) of them after i values, so huge values cost
+    no more than small ones.
     """
     if not values:
         raise ValueError("partition_solve requires at least one value")
@@ -267,15 +270,15 @@ def partition_solve(values: list[int]) -> list[int] | None:
     if total % 2:
         return None
     half = total // 2
-    reach = [1]  # reach[i] bit s set <=> sum s achievable from values[:i]
+    reach = [{0}]  # reach[i] holds the sums up to half achievable from values[:i]
     for x in values:
-        reach.append(reach[-1] | (reach[-1] << x))
-    if not (reach[-1] >> half) & 1:
+        reach.append(reach[-1] | {s + x for s in reach[-1] if s + x <= half})
+    if half not in reach[-1]:
         return None
     picked: list[int] = []
     remaining = half
     for i in range(len(values), 0, -1):
-        if (reach[i - 1] >> remaining) & 1:
+        if remaining in reach[i - 1]:
             continue  # achievable without values[i-1]
         picked.append(i - 1)
         remaining -= values[i - 1]

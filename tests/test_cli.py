@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -11,6 +12,7 @@ from linsched import (
     Instance,
     PhysicalParams,
     cli,
+    hardness,
     load_instance,
     load_schedule,
     save_instance,
@@ -207,6 +209,118 @@ def test_reduce_refuses_a_cap_outside_0_to_20_before_writing(tmp_path, capsys, p
     assert captured.out == "" and "argument --cap: cap " in captured.err
     assert max(map(len, captured.err.splitlines())) <= 300
     assert not out.exists() and not (tmp_path / "red.verify.json").exists()
+
+
+@pytest.mark.parametrize("alpha", ["1e8", "1e10"])
+def test_reduce_refuses_an_alpha_it_cannot_encode_before_writing(tmp_path, capsys, alpha):
+    # the end links' loads miss 2/beta = 1 by about 1e-8 (1e8) and 6e-7 (1e10)
+    out = tmp_path / "red.json"
+    argv = ["reduce", "--partition", "1,2,3", "--alpha", alpha, "--beta", "2", "--out", str(out)]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: alpha = {float(alpha)!r}, beta = 2.0 cannot be encoded")
+    assert captured.err.endswith("not 2/beta = 1.0\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("alpha, digests", [
+    ("1e6", ("11e54a7a8be33eeb", "23dfa48e1e29e71b", "89ce7b03fbb10238")),
+    ("1e7", ("11f627b6478e6b2c", "e9ea23567ae5b3f4", "c3b4428daad37b82")),
+])
+def test_reduce_at_the_largest_alphas_it_encodes_keeps_its_bytes(tmp_path, capsys, alpha, digests):
+    # instance, sidecar and stdout sha256 prefixes as written before reduce verified first
+    out = tmp_path / "red.json"
+    argv = ["reduce", "--partition", "1,2,3", "--alpha", alpha, "--beta", "2", "--out", str(out)]
+    code, stdout = run_ok(capsys, argv)
+    assert code == 0
+    texts = (out.read_bytes(), (tmp_path / "red.verify.json").read_bytes(), stdout.encode())
+    assert tuple(hashlib.sha256(text).hexdigest()[:16] for text in texts) == digests
+
+
+def test_reduce_writes_nothing_when_verification_fails(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalError("verdicts diverged")
+
+    monkeypatch.setattr(hardness, "verify_reduction", broken)
+    out = tmp_path / "red.json"
+    argv = ["reduce", "--partition", "1,2,3", "--alpha", "3", "--beta", "2", "--out", str(out)]
+    assert cli.run(argv) == 3
+    assert "InternalError: verdicts diverged" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reduce_decides_partition_of_a_value_near_two_to_the_62(tmp_path, capsys):
+    # one value: five links under the oracle cap, and a bitset as wide as the
+    # value would need 2^61 bytes
+    out = tmp_path / "huge.json"
+    argv = ["reduce", "--partition", "3074457345618258602", "--alpha", "3", "--beta", "2",
+            "--out", str(out)]
+    code, stdout = run_ok(capsys, argv)
+    assert code == 0
+    report = _strict_json(stdout)
+    assert report["identity_ok"] is True and report["oracle_skipped"] is False
+    assert report["partition_solvable"] is False and report["equivalence_ok"] is True
+    assert out.exists() and (tmp_path / "huge.verify.json").exists()
+
+
+@pytest.mark.parametrize("partition, beta", [
+    ("72057594037927937,72057594037927937,2", "2"),  # 2 is lost beside 2^56 + 1
+    ("1,2", "1"),  # at beta <= 1 every "no" input fits two slots
+])
+def test_reduce_refuses_an_instance_whose_answer_contradicts_partition(tmp_path, capsys, partition, beta):
+    out = tmp_path / "red.json"
+    argv = ["reduce", "--partition", partition, "--alpha", "3", "--beta", beta, "--out", str(out)]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --partition {partition!r} cannot be encoded at alpha = 3.0, beta = {float(beta)!r}: "
+        "the instance's two-slot answer is 'yes', PARTITION's is 'no'\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def _newline_variants(text: str) -> dict[str, bytes]:
+    lines = text.encode().split(b"\n")
+    return {
+        "lf": b"\n".join(lines),
+        "crlf": b"\r\n".join(lines),
+        "cr": b"\r".join(lines),
+        "mixed": b"".join(line + (b"\r", b"\r\n", b"\n")[i % 3] for i, line in enumerate(lines)),
+    }
+
+
+def test_instance_and_schedule_files_load_alike_with_any_newlines(tmp_path, capsys):
+    inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+    assert cli.run(gen_args(inst, n=6)) == 0
+    assert cli.run(["schedule", "--in", str(inst), "--c", "auto", "--out", str(sched)]) == 0
+    capsys.readouterr()
+    expected_inst = save_instance(load_instance(inst.read_text(encoding="utf-8")))
+    expected_sched = load_schedule(sched.read_text(encoding="utf-8"))
+    for kind, data in _newline_variants(inst.read_text()).items():
+        path = tmp_path / f"inst-{kind}.json"
+        path.write_bytes(data)
+        assert save_instance(load_instance(cli._read(str(path)))) == expected_inst, kind
+    for kind, data in _newline_variants(json.dumps(json.loads(sched.read_text()), indent=1)).items():
+        path = tmp_path / f"sched-{kind}.json"
+        path.write_bytes(data)
+        assert load_schedule(cli._read(str(path))) == expected_sched, kind
+        code, out = run_ok(capsys, ["verify", "--in", str(inst), "--sched", str(path)])
+        assert code == 0 and _strict_json(out)["verdict"] == "feasible", kind
+
+
+def test_an_invalid_utf8_file_exits_2_with_the_decoder_message(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    assert cli.run(gen_args(path, n=300)) == 0
+    data = path.read_bytes()
+    path.write_bytes(data[:9000] + b"\xff" + data[9000:])  # past the first 8 KiB read chunk
+    with pytest.raises(UnicodeDecodeError) as raised:
+        path.read_text(encoding="utf-8")
+    capsys.readouterr()
+    assert cli.run(["schedule", "--in", str(path), "--out", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+    assert "position 9000" in str(raised.value)
 
 
 def test_bound_beyond_float_range_manual_c(tmp_path, capsys):

@@ -77,6 +77,18 @@ def test_optimal_schedule_matches_reference_dp(name):
     assert optimal_schedule(inst).slots == optimal_schedule_reference(inst).slots
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_optimal_schedule_starts_at_layer_one_the_table_itself(monkeypatch, k):
+    # none at L = 1; else zeta(table), a Moebius transform per layer from 2
+    # to L and a zeta transform per layer that another follows: 2L - 2
+    inst = collocated(k, PARAMS)
+    zeta, calls = oracle._zeta, []
+    monkeypatch.setattr(oracle, "_zeta", lambda *args: calls.append(args[1]) or zeta(*args))
+    sched = optimal_schedule(inst)
+    assert len(calls) == 2 * sched.length - 2
+    assert sched.slots == optimal_schedule_reference(inst).slots
+
+
 def test_optimal_schedule_rejects_non_downward_closed_table(monkeypatch):
     # {0,1,2,3} and {2,3,4,5} cover six links, but neither leaves a feasible
     # rest, so the cover count 2 has no partition witness
@@ -298,6 +310,21 @@ def test_partition_matches_exhaustive_search():
             assert 2 * sum(values[i] for i in picked) == total
             assert len(set(picked)) == len(picked)
             assert all(0 <= i < n for i in picked)
+
+
+def test_partition_of_values_as_wide_as_a_machine_word():
+    # a bitset of reachable sums would be as wide as the values themselves
+    for values, solvable in [
+        ([3074457345618258602], False),
+        ([2**58 + 1] * 2, True),
+        ([2**56 + 1, 2**56 + 1, 2], False),
+        ([2**53 + 1, 3, 2**53 - 2, 2, 4, 6], True),
+        ([2**62 + 5, 2**61 + 2, 2**61 + 3], True),
+    ]:
+        picked = partition_solve(values)
+        assert (picked is not None) is solvable, values
+        if picked is not None:
+            assert 2 * sum(values[i] for i in picked) == sum(values)
 
 
 def test_empty_instance(params):

@@ -1040,9 +1040,11 @@ def test_oracle_exit_codes_on_fuzzed_instances(tmp_path_factory, text, cap):
         assert "Traceback" not in err
 
 
-# reduce's odd numbers: NaN, both infinities, zeros, a negative, the ends of
-# the float range, and 1e306, where beta lets the closure's sums overflow
-ODD_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-2", "1e308", "1e-320", "1e306"])
+# odd float options: NaN, both infinities, zeros, a negative and the ends of
+# the float range; reduce also takes 1e306, where beta lets the closure's sums
+# overflow
+ODD_FLOATS = ["nan", "inf", "-inf", "0", "-0.0", "-2", "1e308", "1e-320"]
+ODD_NUMBERS = st.sampled_from([*ODD_FLOATS, "1e306"])
 ODD_ENTRIES = st.sampled_from([str(10**30), "0", "-3", "", " ", "x", "1.5", "nan", "1e3", "0x10"])
 
 
@@ -1066,6 +1068,8 @@ def reduce_arguments(draw) -> tuple[str, str, str]:
 @settings(FIXED, max_examples=150)
 @given(args=reduce_arguments())
 @example(args=("1.0000001", "1e306", "1,2,3"))  # the closure's sums overflow
+@example(args=("3", "2", "3074457345618258602"))  # PARTITION of a value near 2^62
+@example(args=("3", "2", "72057594037927937,72057594037927937,2"))  # 2 is lost beside 2^56
 def test_reduce_exit_codes_on_fuzzed_arguments(tmp_path_factory, args):
     alpha, beta, partition = args
     d = tmp_path_factory.mktemp("reduce")
@@ -1076,3 +1080,55 @@ def test_reduce_exit_codes_on_fuzzed_arguments(tmp_path_factory, args):
     assert "Traceback" not in err
     if code == 2:  # a refusal writes neither the instance nor its sidecar
         assert list(d.iterdir()) == [], argv
+    elif code == 0:  # what reduce writes encodes 2/beta and PARTITION's answer
+        report = json.loads((d / "red.verify.json").read_text(encoding="utf-8"))["report"]
+        assert report["identity_ok"] is True and report["equivalence_ok"] is not False, argv
+
+
+# gen's and constants' float options at odd values; gen's --n stays small,
+# since gen allocates per link
+PARAM_OPTIONS = ["--alpha", "--beta", "--noise", "--cl", "--K", "--m"]
+GEN_OPTIONS = [*PARAM_OPTIONS, "--box", "--lmin", "--lmax", "--separation"]
+FAMILIES = ["random-euclidean", "collocated", "spread"]
+SMALL_N = ["-1", "0", "1", "7"]
+
+
+def _check_gen(d, family: str, n: str, odd: dict[str, str]) -> None:
+    out = d / "inst.json"
+    options = {"--alpha": "3", "--beta": "2", "--separation": "2", **odd}
+    argv = ["gen", "--family", family, "--n", n, *(f"{k}={v}" for k, v in options.items()),
+            "--out", str(out)]
+    code, err = _run(argv)
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in err
+    assert out.exists() == (code == 0), argv
+    out.unlink(missing_ok=True)
+
+
+def _check_constants(odd: dict[str, str]) -> None:
+    options = {"--alpha": "3", "--beta": "2", **odd}
+    argv = ["constants", *(f"{k}={v}" for k, v in options.items())]
+    code, err = _run(argv)
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", GEN_OPTIONS)
+def test_gen_and_constants_exit_codes_on_each_odd_float(tmp_path, option):
+    for value in ODD_FLOATS:
+        for family in FAMILIES:
+            for n in SMALL_N:
+                _check_gen(tmp_path, family, n, {option: value})
+        if option in PARAM_OPTIONS:
+            _check_constants({option: value})
+
+
+@settings(FIXED, max_examples=100)
+@given(
+    family=st.sampled_from(FAMILIES),
+    n=st.sampled_from(SMALL_N),
+    odd=st.dictionaries(st.sampled_from(GEN_OPTIONS), st.sampled_from(ODD_FLOATS), min_size=2, max_size=4),
+)
+def test_gen_and_constants_exit_codes_on_fuzzed_arguments(tmp_path_factory, family, n, odd):
+    _check_gen(tmp_path_factory.mktemp("gen"), family, n, odd)
+    _check_constants({k: v for k, v in odd.items() if k in PARAM_OPTIONS})
