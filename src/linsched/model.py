@@ -430,9 +430,11 @@ def check_partition(sched: Schedule, inst: Instance) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # JSON round trip.  Numbers rely on Python's shortest round-trip float repr,
-# so load(save(x)) reproduces every finite value bit-exactly.  A matrix file
-# costs its distinct numbers in both directions: the writer formats each
-# once, and the loader parses each distinct literal once.
+# so load(save(x)) reproduces every finite value bit-exactly.  Each writer
+# spells out its document's layout, the text of json.dumps(doc,
+# sort_keys=True, indent=2, allow_nan=False) and a newline, and formats each
+# distinct number of an array once; the loader of a matrix file parses each
+# distinct literal once.
 
 
 _KINDS = {dict: "a JSON object", list: "a JSON array", int: "an integer", float: "a number"}
@@ -558,81 +560,39 @@ _NON_FINITE = (
 )
 
 
-def _dumps(doc: dict) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)`` and a newline.
-
-    ``doc`` holds dicts with str keys, lists, 2-D float arrays, ints, floats
-    and strs; FormatError if a number is NaN or infinite.  The text is joined
-    once, from pieces of at most one array row or one list of ints.
-    """
-    out: list[str] = []
-    _encode(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
+def _scalar(x) -> str:
+    """The JSON text of a number, bool or str, as ``json.dumps`` writes it;
+    FormatError if it is a NaN or infinite number."""
+    if type(x) is int:  # not a bool, which json writes as true or false
+        return int.__repr__(x)
+    try:
+        return json.dumps(x, allow_nan=False)
+    except ValueError:
+        raise FormatError(_NON_FINITE) from None
 
 
-def _encode(value, newline: str, out: list[str]) -> None:
-    """Append the JSON text of ``value`` to ``out``; ``newline`` starts each of
+def _array(texts: list[str], newline: str) -> str:
+    """The JSON array of the element ``texts``; ``newline`` starts each of
     its lines after the first."""
     inner = newline + "  "
-    if isinstance(value, dict):
-        for k, key in enumerate(sorted(value)):
-            out.append(("," if k else "{") + inner + json.dumps(key) + ": ")
-            _encode(value[key], inner, out)
-        out.append(newline + "}" if value else "{}")
-    elif isinstance(value, list):
-        text = _int_list(value, newline)
-        if text is not None:
-            out.append(text)
-            return
-        for k, x in enumerate(value):
-            out.append(("," if k else "[") + inner)
-            _encode(x, inner, out)
-        out.append(newline + "]" if value else "[]")
-    elif isinstance(value, np.ndarray):  # 2-D, of floats
-        # Each distinct number is formatted once.  Distinct means distinct
-        # bits, so -0.0 keeps its sign beside 0.0.
-        if not np.isfinite(value).all():
-            raise FormatError(_NON_FINITE)
-        bits, inverse = np.unique(value.ravel().view(np.int64), return_inverse=True)
-        texts = np.array([float.__repr__(x) for x in bits.view(np.float64).tolist()], dtype=object)
-        entry = inner + "  "
-        for k, row in enumerate(texts[inverse].reshape(value.shape).tolist()):
-            text = "[" + entry + ("," + entry).join(row) + inner + "]" if row else "[]"
-            out.append(("," if k else "[") + inner + text)
-        out.append(newline + "]" if len(value) else "[]")
-    elif isinstance(value, float):  # float.__repr__ also for a numpy float, as json does
-        if not math.isfinite(value):
-            raise FormatError(_NON_FINITE)
-        out.append(float.__repr__(value))
-    elif type(value) is int:  # not a bool, which json writes as true or false
-        out.append(int.__repr__(value))
-    else:  # a str
-        out.append(json.dumps(value))
+    return "[" + inner + ("," + inner).join(texts) + newline + "]" if texts else "[]"
 
 
-def _int_list(value: list, newline: str) -> str | None:
-    """The text ``_encode`` writes for a nonempty list of ints (a slot), or of
-    dicts of one key set and int values (the links), in one join; None for
-    any other list.  Booleans are not ints here."""
-    if not value:
-        return None
+def _matrix(out: list[str], a: np.ndarray, newline: str) -> None:
+    """Append the JSON text of the 2-D float array ``a`` to ``out``, a row a
+    piece; ``newline`` starts each of its lines after the first.
+
+    Each distinct number is formatted once.  Distinct means distinct bits,
+    so -0.0 keeps its sign beside 0.0.
+    """
+    if not np.isfinite(a).all():
+        raise FormatError(_NON_FINITE)
+    bits, inverse = np.unique(a.ravel().view(np.int64), return_inverse=True)
+    texts = np.array([float.__repr__(x) for x in bits.view(np.float64).tolist()], dtype=object)
     inner = newline + "  "
-    if all(type(x) is int for x in value):
-        return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
-    first = value[0]
-    if not (type(first) is dict and first):
-        return None
-    if not all(type(x) is dict and x.keys() == first.keys() for x in value):
-        return None
-    keys = sorted(first)
-    columns = [[x[key] for x in value] for key in keys]
-    if not all(type(x) is int for column in columns for x in column):
-        return None
-    # %d writes an int as int.__repr__ does; a literal % in a key is doubled.
-    fields = ",".join(inner + "  " + json.dumps(key).replace("%", "%%") + ": %d" for key in keys)
-    records = map(("{" + fields + inner + "}").__mod__, zip(*columns))
-    return "[" + inner + ("," + inner).join(records) + newline + "]"
+    for k, row in enumerate(texts[inverse].reshape(a.shape).tolist()):
+        out.append(("," if k else "[") + inner + _array(row, inner))
+    out.append(newline + "]" if len(a) else "[]")
 
 
 _LINK_FIELDS = ("id", "sender", "receiver")
@@ -708,24 +668,22 @@ def load_instance(text: str) -> Instance:
 
 def save_instance(inst: Instance) -> str:
     """The instance as JSON; FormatError if it holds a NaN or infinite number."""
-    if isinstance(inst.metric, EuclideanMetric):
-        metric_doc = {
-            "type": "euclidean",
-            "dim": inst.metric.dim,
-            "points": inst.metric.points,
-        }
+    link = '{\n      "id": %d,\n      "receiver": %d,\n      "sender": %d\n    }'
+    ends = zip(range(inst.n), inst.receivers.tolist(), inst.senders.tolist())
+    out = ['{\n  "links": ', _array([link % x for x in ends], "\n  "), ',\n  "metric": {\n    ']
+    metric = inst.metric
+    if isinstance(metric, EuclideanMetric):
+        out.append(f'"dim": {metric.dim},\n    "points": ')
+        _matrix(out, metric.points, "\n    ")
+        out.append(',\n    "type": "euclidean"\n  },\n  "params": {\n    ')
     else:
-        metric_doc = {"type": "matrix", "d": inst.metric.d}
-    doc = {
-        "schema": SCHEMA,
-        "params": asdict(inst.params),
-        "metric": metric_doc,
-        "links": [
-            {"id": i, "sender": p, "receiver": q}
-            for i, (p, q) in enumerate(zip(inst.senders.tolist(), inst.receivers.tolist()))
-        ],
-    }
-    return _dumps(doc)
+        out.append('"d": ')
+        _matrix(out, metric.d, "\n    ")
+        out.append(',\n    "type": "matrix"\n  },\n  "params": {\n    ')
+    params = sorted(asdict(inst.params).items())
+    out.append(",\n    ".join(f'"{key}": {_scalar(x)}' for key, x in params))
+    out.append('\n  },\n  "schema": ' + _scalar(SCHEMA) + "\n}\n")
+    return "".join(out)
 
 
 def load_schedule(text: str) -> Schedule:
@@ -749,5 +707,5 @@ def load_schedule(text: str) -> Schedule:
 
 
 def save_schedule(sched: Schedule) -> str:
-    doc = {"schema": SCHEMA, "slots": [sorted(slot) for slot in sched.slots]}
-    return _dumps(doc)
+    slots = [_array(list(map(_scalar, sorted(slot))), "\n    ") for slot in sched.slots]
+    return '{\n  "schema": ' + _scalar(SCHEMA) + ',\n  "slots": ' + _array(slots, "\n  ") + "\n}\n"

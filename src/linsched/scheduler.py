@@ -106,12 +106,13 @@ def greedy_schedule(inst: Instance, cfg: SchedulerConfig) -> Schedule:
     link and every link of the block on the block's receivers, a row per
     receiver, with the placed links in slot order: one ``np.add.reduceat``
     sums each slot's load in float64.  These loads and the block's own terms
-    are taken once as Python floats, and the block's links are placed on
-    them: each link first adds the terms of the block's earlier links to
-    their slots' loads, in placement order.  The buffer is not read again
-    in the block, so its moves are composed per placement into a map from
-    column to source and applied after the block, one gather per row, which
-    leaves the buffer as the moves one by one would.
+    are taken once as Python floats, the own terms only where a link reads
+    them, and the block's links are placed on them: each link first adds
+    the terms of the block's earlier links to their slots' loads, in
+    placement order.  The buffer is not read again in the block, so its
+    moves are composed per placement into a map from column to source and
+    applied after the block, one gather per row, which leaves the buffer as
+    the moves one by one would.
     ``kernel.cheap_cuts`` turns the cut into two cheap ones for loads of at
     most n terms.  A link skips the slots whose cheap load is above
     ``above``, whose exact loads are surely past the cut, and joins the first
@@ -145,6 +146,8 @@ def greedy_schedule(inst: Instance, cfg: SchedulerConfig) -> Schedule:
     # one row per axis (or of node ids) and the weights, to move columns by
     grouped = [*G.reshape(-1, 3 * n), GW]
     slots: list[list[int]] = []
+    # earlier[c, i]: whether the block's link i is placed before its link c
+    earlier = np.tri(min(n, max(1, kernel.BLOCK // n)), k=-1, dtype=bool)
     for span in kernel.blocks(n, n):
         a, b = span.start, span.stop
         lo, hi = edge[0], edge[-1]
@@ -159,12 +162,12 @@ def greedy_schedule(inst: Instance, cfg: SchedulerConfig) -> Schedule:
         if a:
             np.add.reduceat(T[:, :a], np.subtract(edge[:-1], lo), axis=1, dtype=np.float64,
                             out=loads[:, : len(slots)])
-        rows, own = loads.tolist(), T[:, a:].tolist()
+        rows, own = loads.tolist(), iter(T[:, a:][earlier[: b - a, : b - a]].tolist())
         origin: dict[int, int] = {}  # column -> the column whose block-start content it now holds
         for c, v in enumerate(links[span]):
             j, row = a + c, rows[c]
             row += [0.0] * (len(slots) + 1 - len(row))  # the slots opened in this block so far
-            for k, t in zip(slot_of[a:], own[c]):  # the block's earlier links, in placement order
+            for k, t in zip(slot_of[a:], own):  # the block's earlier links, in placement order
                 row[k] += t
             # The next new slot, at load 0.0, is never past the cut.
             k = 0

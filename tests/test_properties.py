@@ -175,6 +175,8 @@ _EXTREMES = [[0.0, -0.0, 5e-324], [-0.0, 1.7976931348623157e308, 0.0], [-5e-324,
 @example(Instance(MatrixMetric(d=_EXTREMES), [0, 1], [1, 2], PhysicalParams(alpha=3.0, beta=2.0)))
 @example(Instance(EuclideanMetric(points=_EXTREMES), [], [], PhysicalParams(alpha=3, beta=True)))
 @example(Instance(MatrixMetric(d=[]), [], [], PhysicalParams(alpha=3.0, beta=2.0)))
+@example(Instance(EuclideanMetric(points=np.zeros((2, 0))), [0], [1],
+                  PhysicalParams(alpha=np.float64(3.0), beta=2)))
 @given(files_to_write())
 def test_save_instance_is_the_json_dumps_text(inst):
     assert save_instance(inst) == save_instance_reference(inst)
@@ -183,6 +185,7 @@ def test_save_instance_is_the_json_dumps_text(inst):
 @FIXED
 @example(Schedule(slots=()))
 @example(Schedule(slots=(frozenset(),)))
+@example(Schedule(slots=(frozenset({True}), frozenset({2**70, -3}))))
 @given(st.lists(st.frozensets(st.integers(0, 2**70), max_size=5), max_size=4).map(
     lambda slots: Schedule(slots=tuple(slots))
 ))

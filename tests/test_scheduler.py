@@ -126,11 +126,11 @@ def test_incremental_matches_naive_reference(params):
     assert greedy_schedule(one, cfg) == greedy_schedule_reference(one, cfg)
 
 
-@pytest.mark.parametrize("n", [129, 300, 1000])
+@pytest.mark.parametrize("n", [128, 129, 300, 1000])
 @pytest.mark.parametrize("c", ["4", "auto"])
 def test_blocked_greedy_matches_one_column_per_link(params, n, c, monkeypatch):
-    # 127, 54 and 16 links per block: the last block is short at each size;
-    # then blocks of 1, 8 and 64 links
+    # One block of all 128 links; 127, 54 and 16 links per block, where the
+    # last block is short; then blocks of 1, 8 and 64 links
     inst = random_euclidean(GenSpec(n=n, params=params, box=100.0 * math.sqrt(n / 50), seed=1))
     cfg = SchedulerConfig.auto(params) if c == "auto" else SchedulerConfig(c=float(c))
     expected = greedy_schedule_columns(inst, cfg)
