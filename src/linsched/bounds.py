@@ -169,7 +169,7 @@ def _node_bounds(inst: Instance, W: np.ndarray, nodes: np.ndarray) -> tuple[np.n
         gap = low - cell_high[cols, None]
         np.maximum(gap, cell_low[cols, None] - high, out=gap)
         dmin = kernel.euclid(np.maximum(gap, 0.0, out=gap), np.zeros(metric.dim))
-        t = kernel.ratio_power(box_lmax, np.maximum(dmin, R), alpha)
+        t = np.power(box_lmax / np.maximum(dmin, R), alpha)
         far[cols] = (box_count * np.minimum(t, 1.0)).sum(axis=1)
     # The margin covers rounding.  Sums of n nonnegative terms err by at
     # most n*eps relative, in the exact pass and here alike.  A near term

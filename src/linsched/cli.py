@@ -181,6 +181,14 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             f"--partition must be comma-separated integers, got {args.partition!r}"
         ) from None
     art = hardness.build_reduction(values, alpha=args.alpha, beta=args.beta)
+    # The end receivers are at distance 0, so each end sender is as far from
+    # the other end receiver as from its own: the mutual terms are exactly 1.0.
+    if sinr.slot_feasible([0, len(art.padded_b) + 1], art.instance).feasible:
+        raise FormatError(
+            f"alpha = {args.alpha!r}, beta = {args.beta!r} cannot be encoded: the end links' "
+            "mutual term 1.0 fits under the cut of 1/beta, so they share a slot and every "
+            "input with a feasible middle slot fits two slots"
+        )
     verified = hardness.verify_reduction(art, cap=args.cap)
     if not verified.identity_ok:
         raise FormatError(

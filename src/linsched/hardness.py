@@ -262,7 +262,7 @@ def verify_reduction(art: ReductionArtifact, cap: int = DEFAULT_CAP) -> Reductio
         )
     else:
         two_slot = two_slot_decision(inst, cap)
-        partition_yes = partition_solve(list(art.original_a)) is not None
+        partition_yes = partition_solve(list(art.original_a))
         if middle_ok:
             equivalence = two_slot == partition_yes
         else:

@@ -253,13 +253,12 @@ def two_slot_decision(inst: Instance, cap: int = DEFAULT_CAP) -> bool:
     return bool((feas[1::2] & rest_ok).any())
 
 
-def partition_solve(values: list[int]) -> list[int] | None:
-    """Split a multiset of positive integers into two equal-sum halves.
+def partition_solve(values: list[int]) -> bool:
+    """Whether a multiset of positive integers splits into two equal-sum halves.
 
-    Returns the indices of one half, or None when no split exists.
-    Reachable sums up to half the total are kept as a set per prefix, at
-    most min(2^i, total/2 + 1) of them after i values, so huge values cost
-    no more than small ones.
+    The reachable sums up to half the total are kept as one set, at most
+    min(2^i, total/2 + 1) of them after i values, so huge values cost no
+    more than small ones.
     """
     if not values:
         raise ValueError("partition_solve requires at least one value")
@@ -268,21 +267,9 @@ def partition_solve(values: list[int]) -> list[int] | None:
             raise ValueError(f"values must be positive integers, got {x!r}")
     total = sum(values)
     if total % 2:
-        return None
+        return False
     half = total // 2
-    reach = [{0}]  # reach[i] holds the sums up to half achievable from values[:i]
+    reach = {0}
     for x in values:
-        reach.append(reach[-1] | {s + x for s in reach[-1] if s + x <= half})
-    if half not in reach[-1]:
-        return None
-    picked: list[int] = []
-    remaining = half
-    for i in range(len(values), 0, -1):
-        if remaining in reach[i - 1]:
-            continue  # achievable without values[i-1]
-        picked.append(i - 1)
-        remaining -= values[i - 1]
-    if remaining != 0:
-        raise InternalError(f"partition reconstruction left {remaining} of the half sum")
-    picked.reverse()
-    return picked
+        reach |= {s + x for s in reach if s + x <= half}
+    return half in reach

@@ -191,13 +191,14 @@ class FeasibilityReport:
 def schedule_feasible(sched: Schedule, inst: Instance) -> FeasibilityReport:
     """Check a schedule: partition invariant first, then every slot.
 
-    Slots are evaluated only when every id in them names a link of the
-    instance; otherwise the report carries the partition problems alone.
+    Slots are evaluated only when every slot is a nonempty set of known link
+    ids, and then every one, so entry i of ``slot_results`` is slot i;
+    otherwise the report carries the partition problems alone.
     """
     problems = check_partition(sched, inst)
     known = frozenset(range(inst.n))
-    slots = sched.slots if all(slot <= known for slot in sched.slots) else ()
-    results = tuple(slot_feasible(slot, inst) for slot in slots if slot)
+    slots = sched.slots if all(slot and slot <= known for slot in sched.slots) else ()
+    results = tuple(slot_feasible(slot, inst) for slot in slots)
     all_ok = all(r.feasible for r in results)
     return FeasibilityReport(
         partition_problems=tuple(problems),

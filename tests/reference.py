@@ -17,6 +17,8 @@ which ``slot_feasible`` must match with a bit-equal worst margin.
 ``optimal_schedule_reference`` is the exact oracle's former O(3^n)
 submask dynamic program, over the package's own subset table, and
 ``zeta_reference`` its zeta and Moebius transforms one mask at a time.
+``partition_half`` is ``oracle.partition_solve`` as it was, which also
+returned the indices of one half of the split.
 ``subset_table_elementwise`` is the subset table's former loop, which tests
 every member's load with ``rel_leq_array``; ``subset_table`` compares each
 member's rank among its sorted half-loads with the length of its passing
@@ -377,6 +379,35 @@ def zeta_reference(values: Iterable[int], n: int, op) -> list[int]:
             if mask >> k & 1:
                 a[mask] = op(a[mask], a[mask ^ (1 << k)])
     return a
+
+
+def partition_half(values: list[int]) -> list[int] | None:
+    """The indices of one half of an equal-sum split of ``values``, or None.
+
+    The reachable sums up to half the total are kept as a set per prefix;
+    the half is read back from the last value, taking a value only when
+    the sum still to be found is not reachable without it.
+    """
+    total = sum(values)
+    if total % 2:
+        return None
+    half = total // 2
+    reach = [{0}]  # reach[i] holds the sums up to half achievable from values[:i]
+    for x in values:
+        reach.append(reach[-1] | {s + x for s in reach[-1] if s + x <= half})
+    if half not in reach[-1]:
+        return None
+    picked: list[int] = []
+    remaining = half
+    for i in range(len(values), 0, -1):
+        if remaining in reach[i - 1]:
+            continue  # achievable without values[i-1]
+        picked.append(i - 1)
+        remaining -= values[i - 1]
+    if remaining != 0:
+        raise InternalError(f"partition reconstruction left {remaining} of the half sum")
+    picked.reverse()
+    return picked
 
 
 def subset_table_elementwise(inst: Instance, cap: int) -> np.ndarray:

@@ -222,7 +222,7 @@ def test_criterion_9_padding_equivalence():
     for k in range(1, 6):
         for a in itertools.combinations_with_replacement(range(1, 9), k):
             a = list(a)
-            if (partition_solve(a) is None) != (partition_solve(pad_partition(a)) is None):
+            if partition_solve(a) is not partition_solve(pad_partition(a)):
                 mismatches += 1
     _verdict(9, "padding preserves PARTITION answers (|A|<=5, values 1..8)", mismatches == 0)
 

@@ -118,6 +118,22 @@ def test_verify_flags_non_partition(tmp_path, capsys):
         assert _strict_json(out)["verdict"] == "invalid-partition"
 
 
+def test_verify_reports_no_slots_when_a_slot_is_empty(tmp_path, capsys):
+    # slot 2 = {0, 1} is infeasible, but slot 1 is empty: no slot is evaluated
+    inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+    points = [[0.0, 0.0], [1.0, 0.0], [1.5, 0.0], [2.5, 0.0], [50.0, 0.0], [51.0, 0.0]]
+    instance = Instance(EuclideanMetric(points=points), [0, 2, 4], [1, 3, 5], PhysicalParams(3.0, 2.0))
+    inst.write_text(save_instance(instance))
+    sched.write_text(json.dumps({"schema": "sinr-linsched/1", "slots": [[2], [], [0, 1]]}))
+    assert not sinr.slot_feasible([0, 1], instance).feasible
+    code, out = run_ok(capsys, ["verify", "--in", str(inst), "--sched", str(sched)])
+    assert code == 1
+    report = _strict_json(out)
+    assert report["verdict"] == "invalid-partition"
+    assert report["partition_problems"] == ["slot 1 is empty"]
+    assert report["slots"] == [] and report["first_infeasible_slot"] is None
+
+
 def test_bound_command(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     sched = tmp_path / "sched.json"
@@ -266,7 +282,6 @@ def test_reduce_decides_partition_of_a_value_near_two_to_the_62(tmp_path, capsys
 
 @pytest.mark.parametrize("partition, beta", [
     ("72057594037927937,72057594037927937,2", "2"),  # 2 is lost beside 2^56 + 1
-    ("1,2", "1"),  # at beta <= 1 every "no" input fits two slots
 ])
 def test_reduce_refuses_an_instance_whose_answer_contradicts_partition(tmp_path, capsys, partition, beta):
     out = tmp_path / "red.json"
@@ -279,6 +294,38 @@ def test_reduce_refuses_an_instance_whose_answer_contradicts_partition(tmp_path,
         "the instance's two-slot answer is 'yes', PARTITION's is 'no'\n"
     )
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("partition, beta", [
+    ("1,2", "1"),
+    ("5,7,11,2,9", "0.9"),  # 17 links, beyond the default cap
+    ("5,7,11,2,9", "1"),
+])
+def test_reduce_refuses_parameters_at_which_the_end_links_share_a_slot(tmp_path, capsys, partition, beta):
+    # the end links' mutual terms are 1.0, within the cut of 1/beta for beta <= 1,
+    # so every input with a feasible middle slot would fit two slots
+    out = tmp_path / "red.json"
+    argv = ["reduce", "--partition", partition, "--alpha", "3", "--beta", beta, "--out", str(out)]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: alpha = 3.0, beta = {float(beta)!r} cannot be encoded: the end links' mutual "
+        "term 1.0 fits under the cut of 1/beta, so they share a slot and every input with a "
+        "feasible middle slot fits two slots\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reduce_just_outside_the_shared_slot_band_encodes_partition(tmp_path, capsys):
+    out = tmp_path / "red.json"
+    argv = ["reduce", "--partition", "1,2", "--alpha", "3", "--beta", "1.000001", "--out", str(out)]
+    code, stdout = run_ok(capsys, argv)
+    assert code == 0
+    report = _strict_json(stdout)
+    assert report["mutual_end_term"] == 1.0
+    assert report["partition_solvable"] is False and report["equivalence_ok"] is True
+    assert out.exists() and (tmp_path / "red.verify.json").exists()
 
 
 def _newline_variants(text: str) -> dict[str, bytes]:

@@ -36,8 +36,8 @@ def test_pad_small_example():
 
 def test_pad_singleton():
     assert pad_partition([5]) == [5, 5, 5]
-    assert partition_solve([5]) is None
-    assert partition_solve(pad_partition([5])) is None
+    assert partition_solve([5]) is False
+    assert partition_solve(pad_partition([5])) is False
 
 
 def test_pad_properties_random():
@@ -67,9 +67,7 @@ def test_padding_preserves_partition_answer_exhaustively():
     for k in range(1, 7):
         for a in itertools.combinations_with_replacement(range(1, 4), k):
             a = list(a)
-            assert (partition_solve(a) is None) == (
-                partition_solve(pad_partition(a)) is None
-            ), a
+            assert partition_solve(a) is partition_solve(pad_partition(a)), a
 
 
 def test_reduction_geometry():
@@ -329,6 +327,6 @@ def test_reductions_pin_the_gap_of_one_half(alpha, beta):
         for a in itertools.combinations_with_replacement(range(1, 6), k):
             inst = build_reduction(list(a), alpha=alpha, beta=beta).instance
             optimal = optimal_schedule(inst).length
-            lengths[partition_solve(list(a)) is not None].add(optimal)
+            lengths[partition_solve(list(a))].add(optimal)
             assert greedy_schedule(inst, SchedulerConfig.auto(inst.params)).length >= optimal
     assert lengths == {True: {2}, False: {3}}

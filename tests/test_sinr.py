@@ -207,6 +207,16 @@ def test_schedule_feasible_reports():
     assert any("not a partition" in p for p in not_partition.partition_problems)
 
 
+def test_schedule_feasible_evaluates_no_slot_when_one_is_empty():
+    points = [[0.0, 0.0], [1.0, 0.0], [1.5, 0.0], [2.5, 0.0], [50.0, 0.0], [51.0, 0.0]]
+    inst = Instance(EuclideanMetric(points=points), [0, 2, 4], [1, 3, 5], PhysicalParams(3.0, 2.0))
+    report = schedule_feasible(Schedule((frozenset({2}), frozenset(), frozenset({0, 1}))), inst)
+    assert report.partition_problems == ("slot 1 is empty",)
+    assert report.slot_results == ()
+    assert report.first_infeasible_slot() is None
+    assert report.verdict == "invalid-partition" and not report.feasible
+
+
 def test_slot_feasible_requires_nonempty():
     inst = make_random_instance(seed=0, n=2)
     with pytest.raises(ValueError):
