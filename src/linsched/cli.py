@@ -115,20 +115,9 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     _write(args.out, save_schedule(sched))
     report = asdict(bounds.bound_report(inst, sched, cfg))
     del report["argmax_node"]
-    feasible: bool | None = None
-    if not auto:
-        feasible = sinr.schedule_feasible(sched, inst).feasible
-    _emit(
-        {
-            "c": cfg.c,
-            "c_mode": "auto" if auto else "manual",
-            **report,
-            "feasible": feasible,
-        }
-    )
-    if feasible is False:
-        return 1
-    return 0
+    feasible = None if auto else sinr.schedule_feasible(sched, inst).feasible
+    _emit({"c": cfg.c, "c_mode": "auto" if auto else "manual", **report, "feasible": feasible})
+    return 1 if feasible is False else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -181,29 +170,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             f"--partition must be comma-separated integers, got {args.partition!r}"
         ) from None
     art = hardness.build_reduction(values, alpha=args.alpha, beta=args.beta)
-    # The end receivers are at distance 0, so each end sender is as far from
-    # the other end receiver as from its own: the mutual terms are exactly 1.0.
-    if sinr.slot_feasible([0, len(art.padded_b) + 1], art.instance).feasible:
-        raise FormatError(
-            f"alpha = {args.alpha!r}, beta = {args.beta!r} cannot be encoded: the end links' "
-            "mutual term 1.0 fits under the cut of 1/beta, so they share a slot and every "
-            "input with a feasible middle slot fits two slots"
-        )
     verified = hardness.verify_reduction(art, cap=args.cap)
-    if not verified.identity_ok:
-        raise FormatError(
-            f"alpha = {args.alpha!r}, beta = {args.beta!r} cannot be encoded: the end links "
-            f"receive {verified.affectance_on_end_links} from the middle links, "
-            f"not 2/beta = {verified.expected_end_affectance!r}"
-        )
-    if verified.equivalence_ok is False:
-        answer = {True: "yes", False: "no"}
-        raise FormatError(
-            f"--partition {args.partition!r} cannot be encoded at alpha = {args.alpha!r}, "
-            f"beta = {args.beta!r}: the instance's two-slot answer is "
-            f"{answer[verified.two_slot_schedulable]!r}, PARTITION's is "
-            f"{answer[verified.partition_solvable]!r}"
-        )
+    if (problem := hardness.encoding_problem(art, verified)) is not None:
+        raise FormatError(problem)
     _write(args.out, save_instance(art.instance))
     report = asdict(verified)
     sidecar = {

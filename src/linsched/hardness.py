@@ -13,7 +13,8 @@ Only the sender-receiver distances are forced by the construction; they
 are written as numpy blocks and the rest are completed by shortest-path
 closure, a Floyd-Warshall split at the senders (``_closed``, shared with
 ``metric_complete``), with a hard check that the closure does not shorten
-any forced distance.
+any forced distance.  ``encoding_problem`` is the one rule for when a built
+instance fails to encode its input.
 """
 
 from __future__ import annotations
@@ -282,3 +283,32 @@ def verify_reduction(art: ReductionArtifact, cap: int = DEFAULT_CAP) -> Reductio
         oracle_skipped=skipped,
         notes="; ".join(notes),
     )
+
+
+def encoding_problem(art: ReductionArtifact, report: ReductionReport) -> str | None:
+    """Why ``art``, measured by ``report``, does not encode its input, or None.
+
+    The first of: the end links share a slot (each one's only load beside the other is
+    their mutual term, exactly 1.0 as their receivers coincide, within the cut of 1/beta
+    for beta <= 1), they miss 2/beta by more than 1e-9, or two slots contradict PARTITION.
+    """
+    p = art.instance.params
+    at = f"alpha = {p.alpha!r}, beta = {p.beta!r}"
+    if report.mutual_end_term <= kernel.rel_leq_cut(p.affectance_threshold()):
+        return (
+            f"{at} cannot be encoded: the end links' mutual term 1.0 fits under the cut of 1/beta, "
+            "so they share a slot and every input with a feasible middle slot fits two slots"
+        )
+    if not report.identity_ok:
+        return (
+            f"{at} cannot be encoded: the end links receive {report.affectance_on_end_links} "
+            f"from the middle links, not 2/beta = {report.expected_end_affectance!r}"
+        )
+    if report.equivalence_ok is False:
+        answer = {True: "yes", False: "no"}
+        return (
+            f"--partition {','.join(map(str, art.original_a))!r} cannot be encoded at {at}: the "
+            f"instance's two-slot answer is {answer[report.two_slot_schedulable]!r}, "
+            f"PARTITION's is {answer[report.partition_solvable]!r}"
+        )
+    return None

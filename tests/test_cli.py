@@ -296,6 +296,19 @@ def test_reduce_refuses_an_instance_whose_answer_contradicts_partition(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_reduce_quotes_the_parsed_partition_when_it_contradicts_partition(tmp_path, capsys):
+    out = tmp_path / "red.json"
+    argv = ["reduce", "--partition", "72057594037927937, 72057594037927937, 2",
+            "--alpha", "3", "--beta", "2", "--out", str(out)]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: --partition '72057594037927937,72057594037927937,2' cannot be encoded"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("partition, beta", [
     ("1,2", "1"),
     ("5,7,11,2,9", "0.9"),  # 17 links, beyond the default cap

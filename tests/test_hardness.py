@@ -14,14 +14,14 @@ from linsched import (
     validate_instance,
     verify_reduction,
 )
-from linsched.hardness import metric_complete, pad_partition
+from linsched.hardness import encoding_problem, metric_complete, pad_partition
 from linsched.model import MatrixMetric
 from linsched.oracle import partition_solve
 from linsched.sinr import slot_feasible
 from linsched.gen import SplitMix64
 
 import reference as ref
-from conftest import affectance_on, term_on as term
+from conftest import affectance_on, link_terms, term_on as term
 
 
 def test_pad_small_example():
@@ -330,3 +330,58 @@ def test_reductions_pin_the_gap_of_one_half(alpha, beta):
             lengths[partition_solve(list(a))].add(optimal)
             assert greedy_schedule(inst, SchedulerConfig.auto(inst.params)).length >= optimal
     assert lengths == {True: {2}, False: {3}}
+
+
+@pytest.mark.parametrize("a", [list(range(1, 31)), [3074457345618258602]])
+def test_encoding_problem_passes_inputs_the_reduction_encodes(a):
+    art = build_reduction(a, alpha=3.0, beta=2.0)
+    assert encoding_problem(art, verify_reduction(art)) is None
+
+
+@pytest.mark.parametrize("a, alpha, beta", [
+    ([1, 2], 3.0, 1.0),
+    ([1, 2], 3.0, 1.0000000001),  # 1.0 is above 1/beta, within its cut
+    ([1, 2, 3], 1e10, 1.0),  # the identity fails too, and the end links come first
+])
+def test_encoding_problem_names_the_end_links_sharing_a_slot(a, alpha, beta):
+    art = build_reduction(a, alpha=alpha, beta=beta)
+    report = verify_reduction(art)
+    assert report.identity_ok is (alpha == 3.0)
+    assert encoding_problem(art, report) == (
+        f"alpha = {alpha!r}, beta = {beta!r} cannot be encoded: the end links' mutual term 1.0 "
+        "fits under the cut of 1/beta, so they share a slot and every input with a feasible "
+        "middle slot fits two slots"
+    )
+
+
+def test_encoding_problem_names_a_missed_identity():
+    art = build_reduction([1, 2, 3], alpha=1e10, beta=2.0)
+    report = verify_reduction(art)
+    assert not report.identity_ok and report.affectance_on_end_links[0] != 1.0
+    assert encoding_problem(art, report) == (
+        "alpha = 10000000000.0, beta = 2.0 cannot be encoded: the end links receive "
+        f"{report.affectance_on_end_links} from the middle links, not 2/beta = 1.0"
+    )
+
+
+def test_encoding_problem_names_a_contradiction_with_partition():
+    # at 20 links the oracle runs: 2 is lost beside 2^40, so two slots fit a "no" input
+    art = build_reduction([2, 2**40, 2**40, 4, 6, 9], alpha=3.0, beta=2.0)
+    report = verify_reduction(art, cap=20)
+    assert report.equivalence_ok is False
+    assert encoding_problem(art, report) == (
+        "--partition '2,1099511627776,1099511627776,4,6,9' cannot be encoded at alpha = 3.0, "
+        "beta = 2.0: the instance's two-slot answer is 'yes', PARTITION's is 'no'"
+    )
+
+
+@pytest.mark.parametrize("a", [[1, 2, 3], list(range(1, 31))], ids=["1-3", "1-30"])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("alpha", [1.5, 3.0, 1e7])
+def test_the_end_links_mutual_terms_are_exactly_one(alpha, beta, a):
+    # encoding_problem's end-link rule reads the mutual term as both end links' load
+    art = build_reduction(a, alpha=alpha, beta=beta)
+    ends = [0, len(art.padded_b) + 1]
+    t = link_terms(art.instance, ends, art.instance.receivers[ends])
+    assert t[1, 0] == 1.0 and t[0, 1] == 1.0  # sender 0 on receiver n+1, and back
+    assert verify_reduction(art).mutual_end_term == t[1, 0]
